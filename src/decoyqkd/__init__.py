@@ -60,48 +60,3 @@ from .sweeps import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "GYS",
-    "ChannelParams",
-    "IntensitySet",
-    "ObservedTally",
-    "ParameterError",
-    "UndefinedQberError",
-    "poisson_weight",
-    "transmittance",
-    "honest_gain",
-    "honest_qber",
-    "synthesize_tallies",
-    "IntensityConstraintError",
-    "PhotonBounds",
-    "balance_residual",
-    "validate_intensities",
-    "estimate_background",
-    "bound_single_photon",
-    "bound_two_photon",
-    "estimate_photon_bounds",
-    "KeyRatePoint",
-    "PROTOCOLS",
-    "binary_entropy",
-    "rate_bb84_decoy",
-    "untagged_fraction",
-    "rate_sarg04_worst",
-    "optimal_mu_sarg04",
-    "rate_nonorthogonal_decoy",
-    "BracketError",
-    "bisect_root",
-    "ExactPhotonStats",
-    "InequalityReport",
-    "exact_stats",
-    "reconstruct_gain",
-    "verify_bound_inequalities",
-    "DEFAULT_NU3",
-    "OPTIMAL_MU",
-    "NeverSecureError",
-    "SweepSpec",
-    "construct_intensity_set",
-    "rate_at",
-    "sweep",
-    "max_secure_distance",
-]

@@ -6,6 +6,11 @@ single-photon yield Y1 and two-photon yield Y2, upper bounds on their
 error rates e1 and e2, and the corresponding gain bounds Q1, Q2. The
 bounds are conservative for any channel whose per-photon-number yields
 lie in [0, 1]: Y1L <= Y1, e1U >= e1, Y2L <= Y2, e2U >= e2.
+
+The tallies are positional, in the order vacuum, nu3, nu2, nu1, mu. The
+bounds are elementwise in distance: tallies whose gains and QBERs are
+arrays over distances give bounds of the same shape, and a clamp flag is
+raised when the clamp fires at any element.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .channel import E_VACUUM, IntensitySet, ObservedTally
 
@@ -92,11 +99,29 @@ def estimate_background(vacuum_tally: ObservedTally) -> tuple[float, float]:
     return vacuum_tally.gain, E_VACUUM
 
 
-def _tally_for(tallies: Iterable[ObservedTally], intensity: float) -> ObservedTally:
-    for tally in tallies:
-        if math.isclose(tally.intensity, intensity, rel_tol=1e-12, abs_tol=1e-15):
-            return tally
-    raise ValueError(f"no tally for intensity {intensity}")
+def _clamp(n: int, raw_yield, error_weight, scale: float):
+    """Clamp the n-photon yield bound into [0, 1] and its error-rate bound into [0, cap].
+
+    e_nU = error_weight / (Y_nL scale); cap is 1/2 for n = 1 and 1 for n = 2, and a
+    vacuous Y_nL <= 0 gives e_nU = cap. Returns (Y_nL, e_nU, flags).
+    """
+    cap, cap_name = (E_VACUUM, "1/2") if n == 1 else (1.0, "1")
+    vacuous = raw_yield <= 0
+    y = np.where(vacuous, 0.0, np.minimum(raw_yield, 1.0))
+    # NaN at the vacuous elements keeps them out of the error-rate flags
+    raw_error = error_weight / (np.where(vacuous, np.nan, y) * scale)
+    error = np.where(vacuous, cap, np.clip(raw_error, 0.0, cap))
+    flags = tuple(
+        name
+        for mask, name in (
+            (vacuous, f"{('single', 'two')[n - 1]}-photon bound vacuous (Y{n}L <= 0)"),
+            (raw_yield > 1.0, f"Y{n}L clamped to 1"),
+            (raw_error > cap, f"e{n}U clamped to {cap_name}"),
+            (raw_error < 0, f"e{n}U clamped to 0"),
+        )
+        if np.count_nonzero(mask)
+    )
+    return y[()], error[()], flags
 
 
 class SinglePhotonBound(NamedTuple):
@@ -138,33 +163,14 @@ def bound_single_photon(
         raise IntensityConstraintError(
             f"single-photon estimate needs nu3 < nu2 and nu2 + nu3 < mu (denominator={denominator})"
         )
-    signal = _tally_for(tallies, mu)
-    t2 = _tally_for(tallies, nu2)
-    t3 = _tally_for(tallies, nu3)
+    _, t3, t2, _, signal = tallies
 
     numerator = mu**2 * (t2.gain * math.exp(nu2) - t3.gain * math.exp(nu3)) - (
         nu2**2 - nu3**2
     ) * (signal.gain * math.exp(mu) - y0)
-    y1 = numerator / denominator
-
-    flags = []
-    if y1 <= 0:
-        flags.append("single-photon bound vacuous (Y1L <= 0)")
-        y1 = 0.0
-        e1 = E_VACUUM
-    else:
-        if y1 > 1.0:
-            flags.append("Y1L clamped to 1")
-            y1 = 1.0
-        e1 = (t3.qber * t3.gain * math.exp(nu3) - e0 * y0) / (y1 * nu3)
-        if e1 > E_VACUUM:
-            flags.append("e1U clamped to 1/2")
-            e1 = E_VACUUM
-        elif e1 < 0:
-            flags.append("e1U clamped to 0")
-            e1 = 0.0
-    q1 = y1 * mu * math.exp(-mu)
-    return SinglePhotonBound(y1, e1, q1, tuple(flags))
+    error_weight = t3.qber * t3.gain * math.exp(nu3) - e0 * y0
+    y1, e1, flags = _clamp(1, numerator / denominator, error_weight, nu3)
+    return SinglePhotonBound(y1, e1, y1 * mu * math.exp(-mu), flags)
 
 
 def bound_two_photon(
@@ -196,35 +202,15 @@ def bound_two_photon(
         )
     if nu2 >= nu1:
         raise IntensityConstraintError(f"two-photon estimate needs nu2 < nu1 (nu1={nu1}, nu2={nu2})")
-    signal = _tally_for(tallies, mu)
-    t1 = _tally_for(tallies, nu1)
-    t2 = _tally_for(tallies, nu2)
-    t3 = _tally_for(tallies, nu3)
+    _, t3, t2, t1, signal = tallies
 
     numerator = 2.0 * mu * (t1.gain * math.exp(nu1) - t2.gain * math.exp(nu2)) - 2.0 * (
         nu1 - nu2
     ) * (signal.gain * math.exp(mu) - y0)
     denominator = mu * (nu1 - nu2) * (nu1 + nu2 - mu)
-    y2 = numerator / denominator
-
-    flags = []
-    if y2 <= 0:
-        flags.append("two-photon bound vacuous (Y2L <= 0)")
-        y2 = 0.0
-        e2 = 1.0
-    else:
-        if y2 > 1.0:
-            flags.append("Y2L clamped to 1")
-            y2 = 1.0
-        e2 = (2.0 * t3.qber * t3.gain * math.exp(nu3) - 2.0 * e0 * y0) / (y2 * nu3**2)
-        if e2 > 1.0:
-            flags.append("e2U clamped to 1")
-            e2 = 1.0
-        elif e2 < 0:
-            flags.append("e2U clamped to 0")
-            e2 = 0.0
-    q2 = y2 * mu**2 * math.exp(-mu) / 2.0
-    return TwoPhotonBound(y2, q2, e2, tuple(flags))
+    error_weight = 2.0 * t3.qber * t3.gain * math.exp(nu3) - 2.0 * e0 * y0
+    y2, e2, flags = _clamp(2, numerator / denominator, error_weight, nu3**2)
+    return TwoPhotonBound(y2, y2 * mu**2 * math.exp(-mu) / 2.0, e2, flags)
 
 
 @dataclass(frozen=True)
@@ -246,25 +232,17 @@ class PhotonBounds:
 def estimate_photon_bounds(
     tallies: Iterable[ObservedTally], intensities: IntensitySet
 ) -> PhotonBounds:
-    """Full estimation pipeline from the five observed tallies.
+    """Full estimation pipeline from the five observed tallies, in the order
+    vacuum, nu3, nu2, nu1, mu (as ``synthesize_tallies`` returns them).
 
     Validates the intensity set, reads Y0/e0 off the vacuum class, and
     combines the single- and two-photon estimates. Q0 = Y0 e^(-mu).
     """
     validate_intensities(intensities)
     tallies = list(tallies)
-    y0, e0 = estimate_background(_tally_for(tallies, 0.0))
+    y0, e0 = estimate_background(tallies[0])
     single = bound_single_photon(tallies, intensities, y0, e0)
     double = bound_two_photon(tallies, intensities, y0, e0)
-    return PhotonBounds(
-        y0=y0,
-        e0=e0,
-        q0=y0 * math.exp(-intensities.mu),
-        y1_lower=single.y1_lower,
-        e1_upper=single.e1_upper,
-        q1_lower=single.q1_lower,
-        y2_lower=double.y2_lower,
-        q2_lower=double.q2_lower,
-        e2_upper=double.e2_upper,
-        flags=single.flags + double.flags,
-    )
+    # both NamedTuples list their three values in PhotonBounds' field order
+    q0 = y0 * math.exp(-intensities.mu)
+    return PhotonBounds(y0, e0, q0, *single[:3], *double[:3], single.flags + double.flags)

@@ -3,12 +3,18 @@
 All observables used by the estimation and rate modules come from this
 model: a Poisson photon-number source, exponential fiber loss, a constant
 misalignment error, and random dark counts (error rate 1/2).
+
+The channel functions are elementwise in distance: ``distance_km`` may be
+an array, and every observable then has its shape.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -19,13 +25,18 @@ class UndefinedQberError(ValueError):
     """QBER requested for a pulse class with zero gain."""
 
 
+def _holds(ok) -> bool:
+    """Whether a test holds at every element (``ok`` is a bool or a boolean array)."""
+    return bool(ok.all() if isinstance(ok, np.ndarray) else ok)
+
+
 @dataclass(frozen=True)
 class ChannelParams:
-    """Fiber link, detector, and post-processing parameters.
+    """Fiber link, detector, and post-processing parameters, all finite.
 
     Attributes:
         alpha_db_per_km: fiber attenuation in dB/km.
-        distance_km: fiber length in km.
+        distance_km: fiber length in km, a number or an array of lengths.
         eta_bob: receiver detection efficiency, in (0, 1].
         y0: background (dark-count) yield per pulse.
         e_det: misalignment error probability, in [0, 0.5].
@@ -40,21 +51,22 @@ class ChannelParams:
     f_ec: float
 
     def __post_init__(self):
-        if self.alpha_db_per_km < 0:
-            raise ParameterError("alpha_db_per_km must be >= 0")
-        if self.distance_km < 0:
-            raise ParameterError("distance_km must be >= 0")
-        if not 0 < self.eta_bob <= 1:
-            raise ParameterError("eta_bob must be in (0, 1]")
-        if not 0 <= self.y0 < 1:
-            raise ParameterError("y0 must be in [0, 1)")
-        if not 0 <= self.e_det <= 0.5:
-            raise ParameterError("e_det must be in [0, 0.5]")
-        if self.f_ec < 1:
-            raise ParameterError("f_ec must be >= 1")
+        largest = sys.float_info.max
+        # NaN lies in no [low, high]; nextafter makes a closed end an open one
+        for name, low, high, requirement in (
+            ("alpha_db_per_km", 0.0, largest, "finite and >= 0"),
+            ("distance_km", 0.0, largest, "finite and >= 0"),
+            ("eta_bob", math.nextafter(0.0, 1.0), 1.0, "in (0, 1]"),
+            ("y0", 0.0, math.nextafter(1.0, 0.0), "in [0, 1)"),
+            ("e_det", 0.0, 0.5, "in [0, 0.5]"),
+            ("f_ec", 1.0, largest, "finite and >= 1"),
+        ):
+            value = getattr(self, name)
+            if not _holds((value >= low) & (value <= high)):
+                raise ParameterError(f"{name} must be {requirement}")
 
     def at_distance(self, distance_km: float) -> "ChannelParams":
-        """Same link evaluated at a different fiber length."""
+        """Same link evaluated at a different fiber length, or at an array of lengths."""
         return replace(self, distance_km=distance_km)
 
 
@@ -93,7 +105,8 @@ class ObservedTally:
     """Measured gain and QBER for one pulse class.
 
     ``gain`` is the probability per sent pulse that Bob registers a
-    detection; ``qber`` is the error fraction among those detections.
+    detection; ``qber`` is the error fraction among those detections. Each
+    field may be an array over distances, and every element is checked.
     """
 
     intensity: float
@@ -101,11 +114,11 @@ class ObservedTally:
     qber: float
 
     def __post_init__(self):
-        if self.intensity < 0:
+        if not _holds(self.intensity >= 0):
             raise ParameterError("intensity must be >= 0")
-        if not 0 <= self.gain <= 1:
+        if not _holds((self.gain >= 0) & (self.gain <= 1)):
             raise ParameterError("gain must be in [0, 1]")
-        if not 0 <= self.qber <= 1:
+        if not _holds((self.qber >= 0) & (self.qber <= 1)):
             raise ParameterError("qber must be in [0, 1]")
 
 
@@ -130,7 +143,8 @@ def transmittance(params: ChannelParams) -> float:
 
     eta = eta_bob * 10^(-alpha * distance / 10)
     """
-    return params.eta_bob * 10.0 ** (-params.alpha_db_per_km * params.distance_km / 10.0)
+    # np.power: ** on a Python float can round differently from the array loop
+    return params.eta_bob * np.power(10.0, -params.alpha_db_per_km * params.distance_km / 10.0)
 
 
 def honest_gain(intensity: float, params: ChannelParams) -> float:
@@ -138,12 +152,7 @@ def honest_gain(intensity: float, params: ChannelParams) -> float:
 
     Q = Y0 + 1 - e^(-eta * intensity)
     """
-    if intensity < 0:
-        raise ParameterError("intensity must be >= 0")
-    eta = transmittance(params)
-    # expm1 keeps the vacuum limit exact: Y0 + (1 - e^0) must be Y0, not
-    # the round-off of (Y0 + 1) - 1
-    return min(params.y0 - math.expm1(-eta * intensity), 1.0)
+    return _gain(intensity, params, transmittance(params))
 
 
 def honest_qber(intensity: float, params: ChannelParams) -> float:
@@ -154,12 +163,8 @@ def honest_qber(intensity: float, params: ChannelParams) -> float:
     Dark counts contribute at error rate 1/2; detected photons err with
     probability e_det.
     """
-    gain = honest_gain(intensity, params)
-    if gain <= 0:
-        raise UndefinedQberError("QBER is undefined at zero gain")
     eta = transmittance(params)
-    errors = E_VACUUM * params.y0 + params.e_det * (1.0 - math.exp(-eta * intensity))
-    return errors / gain
+    return _qber(intensity, params, eta, _gain(intensity, params, eta))
 
 
 def synthesize_tallies(intensities: IntensitySet, params: ChannelParams) -> list[ObservedTally]:
@@ -167,9 +172,23 @@ def synthesize_tallies(intensities: IntensitySet, params: ChannelParams) -> list
 
     Returned in ascending intensity: vacuum, nu3, nu2, nu1, mu.
     """
-    tallies = [ObservedTally(0.0, honest_gain(0.0, params), E_VACUUM)]
+    eta = transmittance(params)
+    tallies = [ObservedTally(0.0, _gain(0.0, params, eta), E_VACUUM)]
     for intensity in (intensities.nu3, intensities.nu2, intensities.nu1, intensities.mu):
-        tallies.append(
-            ObservedTally(intensity, honest_gain(intensity, params), honest_qber(intensity, params))
-        )
+        gain = _gain(intensity, params, eta)
+        tallies.append(ObservedTally(intensity, gain, _qber(intensity, params, eta, gain)))
     return tallies
+
+
+def _gain(intensity: float, params: ChannelParams, eta: float) -> float:
+    if not _holds(intensity >= 0):
+        raise ParameterError("intensity must be >= 0")
+    # expm1 keeps the vacuum limit exact: Y0 + (1 - e^0) must be Y0, not
+    # the round-off of (Y0 + 1) - 1
+    return np.minimum(params.y0 - np.expm1(-eta * intensity), 1.0)
+
+
+def _qber(intensity: float, params: ChannelParams, eta: float, gain: float) -> float:
+    if np.count_nonzero(gain <= 0):
+        raise UndefinedQberError("QBER is undefined at zero gain")
+    return (E_VACUUM * params.y0 + params.e_det * (1.0 - np.exp(-eta * intensity))) / gain

@@ -64,6 +64,14 @@ class RunConfig:
     distance: tuple[float, float, float]
     out: Path
 
+    def specs(self) -> list[SweepSpec]:
+        """One sweep per protocol; ValueError if the options do not make one."""
+        specs = []
+        for protocol in self.protocols:
+            mu = _DEFAULT_MU[protocol] if self.mu is None else self.mu
+            specs.append(SweepSpec(protocol, *self.distance, mu, self.channel, nu3=self.nu3))
+        return specs
+
 
 def load_config_file(path: Path) -> dict[str, str]:
     """Parse a flat key=value config file; unknown keys are rejected."""
@@ -86,17 +94,10 @@ def load_config_file(path: Path) -> dict[str, str]:
 
 
 def _parse_distance(text: str) -> tuple[float, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"distance must be start:stop:step, got {text!r}")
     try:
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (float(p) for p in text.split(":"))
     except ValueError as exc:
         raise ConfigError(f"distance must be numeric start:stop:step, got {text!r}") from exc
-    if step <= 0:
-        raise ConfigError("distance step must be > 0")
-    if start > stop:
-        raise ConfigError("distance start must be <= stop")
     return start, stop, step
 
 
@@ -175,13 +176,14 @@ def resolve_config(argv: list[str] | None = None) -> RunConfig:
     nu3 = pick(args.nu3, "nu3", float, DEFAULT_NU3)
     distance = _parse_distance(pick(args.distance, "distance", str, "0:250:1"))
     out = Path(pick(args.out, "out", Path, Path(".")))
-    return RunConfig(
+    config = RunConfig(
         channel=channel, protocols=protocols, mu=mu, nu3=nu3, distance=distance, out=out
     )
-
-
-def _mu_for(config: RunConfig, protocol: str) -> Union[float, str]:
-    return config.mu if config.mu is not None else _DEFAULT_MU[protocol]
+    try:
+        config.specs()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return config
 
 
 def write_csv(path: Path, points) -> None:
@@ -193,21 +195,10 @@ def write_csv(path: Path, points) -> None:
 
 def run(config: RunConfig) -> int:
     config.out.mkdir(parents=True, exist_ok=True)
-    start, stop, step = config.distance
-    for protocol in config.protocols:
-        mu = _mu_for(config, protocol)
-        spec = SweepSpec(
-            protocol=protocol,
-            start_km=start,
-            stop_km=stop,
-            step_km=step,
-            mu=mu,
-            channel=config.channel,
-            nu3=config.nu3,
-        )
-        points = sweep(spec)
+    for spec in config.specs():
+        protocol, mu = spec.protocol, spec.mu
         csv_path = config.out / f"{protocol}.csv"
-        write_csv(csv_path, points)
+        write_csv(csv_path, sweep(spec))
         mu_label = mu if isinstance(mu, str) else f"{mu:g}"
         try:
             cutoff = max_secure_distance(protocol, mu, config.channel, nu3=config.nu3)

@@ -9,12 +9,16 @@ Protocols:
     sarg04-no-decoy     sifting 1/4, worst-case untagged-fraction analysis.
     nonorthogonal-decoy sifting 1/4, key from the vacuum, single-photon,
                         and two-photon fractions bounded via decoy states.
+
+Every formula is elementwise in distance: tallies and bounds whose fields
+are arrays over distances give a rate array of the same shape.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .bounds import PhotonBounds
 from .channel import ObservedTally
@@ -36,7 +40,7 @@ SIFTING = {
 
 @dataclass(frozen=True)
 class KeyRatePoint:
-    """One point of a rate-vs-distance sweep."""
+    """Rate of one protocol at one distance, or arrays of them over a distance array."""
 
     protocol: str
     distance_km: float
@@ -47,18 +51,15 @@ class KeyRatePoint:
 def binary_entropy(x: float) -> float:
     """Binary Shannon entropy H2(x) = -x log2 x - (1-x) log2 (1-x), in bits.
 
-    H2(0) = H2(1) = 0 by continuous extension.
+    Elementwise; H2(0) = H2(1) = 0 by continuous extension.
     """
-    if not 0.0 <= x <= 1.0:
+    x = np.asarray(x, dtype=float)
+    if not ((x >= 0.0) & (x <= 1.0)).all():
         raise ValueError(f"binary entropy argument must be in [0, 1], got {x}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
-
-
-def _entropy_capped(x: float) -> float:
-    """H2 with the argument capped at 1/2, where the entropy peaks."""
-    return binary_entropy(min(x, 0.5))
+    inner = (x > 0.0) & (x < 1.0)
+    # the endpoints take the value 1/2 in the logs and are then overwritten
+    safe = np.where(inner, x, 0.5)
+    return np.where(inner, -safe * np.log2(safe) - (1.0 - safe) * np.log2(1.0 - safe), 0.0)[()]
 
 
 def rate_bb84_decoy(signal_tally: ObservedTally, bounds: PhotonBounds, f_ec: float) -> float:
@@ -67,7 +68,7 @@ def rate_bb84_decoy(signal_tally: ObservedTally, bounds: PhotonBounds, f_ec: flo
     S = (1/2) { -Q_mu f H2(E_mu) + Q1L [1 - H2(e1U)] }
     """
     cost = signal_tally.gain * f_ec * binary_entropy(signal_tally.qber)
-    gain = bounds.q1_lower * (1.0 - _entropy_capped(bounds.e1_upper))
+    gain = bounds.q1_lower * (1.0 - binary_entropy(np.minimum(bounds.e1_upper, 0.5)))
     return SIFTING[PROTOCOL_BB84_DECOY] * (gain - cost)
 
 
@@ -82,9 +83,9 @@ def untagged_fraction(signal_tally: ObservedTally, mu: float) -> float:
     Omega can go negative under heavy loss, in which case no detection can
     be attributed to an untagged pulse.
     """
-    if signal_tally.gain <= 0:
+    if np.count_nonzero(signal_tally.gain <= 0):
         raise ValueError("untagged fraction is undefined at zero gain")
-    tagged = 1.0 - (1.0 + mu + mu**2 / 2.0) * math.exp(-mu)
+    tagged = 1.0 - (1.0 + mu + mu**2 / 2.0) * np.exp(-mu)
     return 1.0 - tagged / signal_tally.gain
 
 
@@ -99,25 +100,30 @@ def rate_sarg04_worst(signal_tally: ObservedTally, q0: float, omega: float) -> f
     """
     q_mu = signal_tally.gain
     cost = q_mu * binary_entropy(signal_tally.qber)
-    untagged_term = 0.0
-    if omega > 0:
-        untagged_term = omega * q_mu * (1.0 - _entropy_capped(signal_tally.qber / omega))
+    untagged = omega > 0
+    # the dropped elements divide by 1 and are then overwritten
+    capped = np.minimum(signal_tally.qber / np.where(untagged, omega, 1.0), 0.5)
+    untagged_term = np.where(untagged, omega * q_mu * (1.0 - binary_entropy(capped)), 0.0)
     return SIFTING[PROTOCOL_SARG04_NO_DECOY] * (q0 + untagged_term - cost)
 
 
-def optimal_mu_sarg04(eta: float, xtol: float = 1e-12) -> float:
+def optimal_mu_sarg04(eta: float) -> float:
     """Signal intensity maximizing the worst-case no-decoy SARG04 rate.
 
-    Solves eta e^(-eta mu) = (1/2) mu^2 e^(-mu) by bisection on (0, 2);
-    for eta << 1 the root approaches sqrt(2 eta).
+    Solves eta e^(-eta mu) = (1/2) mu^2 e^(-mu) by bisection on (0, 2) to
+    1e-12, elementwise in eta; for eta << 1 the root approaches sqrt(2 eta).
     """
-    if not 0 < eta <= 1:
+    eta = np.asarray(eta, dtype=float)
+    if not ((eta > 0) & (eta <= 1)).all():
         raise ValueError(f"transmittance must be in (0, 1], got {eta}")
+    neg_eta, two_eta = -eta, 2.0 * eta
 
-    def residual(mu: float) -> float:
-        return eta * math.exp(-eta * mu) - 0.5 * mu**2 * math.exp(-mu)
+    def residual(mu):
+        # twice the residual; doubling is exact, so its signs and zeros,
+        # all that the bisection reads, are those of the residual
+        return two_eta * np.exp(neg_eta * mu) - mu**2 * np.exp(-mu)
 
-    return bisect_root(residual, 1e-15, 2.0, xtol=xtol)
+    return bisect_root(residual, np.full(eta.shape, 1e-15), np.full(eta.shape, 2.0))
 
 
 def rate_nonorthogonal_decoy(
@@ -130,6 +136,6 @@ def rate_nonorthogonal_decoy(
     Unlike BB84, the vacuum and two-photon fractions also contribute key.
     """
     cost = signal_tally.gain * f_ec * binary_entropy(signal_tally.qber)
-    gain_1 = bounds.q1_lower * (1.0 - _entropy_capped(bounds.e1_upper))
-    gain_2 = bounds.q2_lower * (1.0 - _entropy_capped(bounds.e2_upper))
+    gain_1 = bounds.q1_lower * (1.0 - binary_entropy(np.minimum(bounds.e1_upper, 0.5)))
+    gain_2 = bounds.q2_lower * (1.0 - binary_entropy(np.minimum(bounds.e2_upper, 0.5)))
     return SIFTING[PROTOCOL_NONORTHOGONAL_DECOY] * (bounds.q0 + gain_1 + gain_2 - cost)

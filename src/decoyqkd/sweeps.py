@@ -1,4 +1,8 @@
-"""Rate-vs-distance sweeps, maximal secure distance, and intensity construction."""
+"""Rate-vs-distance sweeps, maximal secure distance, and intensity construction.
+
+``rate_at`` is elementwise in distance: a sweep is one call over its grid,
+and the cutoff search is two calls.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,9 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .bounds import IntensityConstraintError, estimate_photon_bounds, validate_intensities
+import numpy as np
+
+from .bounds import estimate_photon_bounds, validate_intensities
 from .channel import (
     ChannelParams,
     IntensitySet,
@@ -34,6 +40,19 @@ from .rates import (
 #: holds down to mu = 0.1 with the auto-constructed set.
 DEFAULT_NU3 = 0.01
 
+#: Largest number of points a sweep may have.
+MAX_SWEEP_POINTS = 100_000
+
+#: Cutoff search: a coarse scan from zero up to the scan limit, then a
+#: bisection of the last bracket down to the resolution.
+COARSE_STEP_KM = 5.0
+RESOLUTION_KM = 0.1
+SCAN_LIMIT_KM = 1000.0
+#: The scan also ends where the transmittance falls below this (300 dB of loss):
+#: there dark counts swamp the signal of any link with a background yield above
+#: ~1e-29, and the optimal SARG04 intensity ~sqrt(2 eta) leaves its bracket.
+SCAN_MIN_TRANSMITTANCE = 1e-30
+
 #: Sentinel for per-distance optimization of the signal intensity
 #: (sarg04-no-decoy only).
 OPTIMAL_MU = "optimal"
@@ -51,13 +70,23 @@ def construct_intensity_set(mu: float, nu3: float = DEFAULT_NU3) -> IntensitySet
     which satisfies the cubic balance condition exactly. The result is
     fully validated.
     """
-    if mu <= 0:
-        raise IntensityConstraintError(f"mu must be > 0, got {mu}")
-    if nu3 <= 0:
-        raise IntensityConstraintError(f"nu3 must be > 0, got {nu3}")
     nu1 = 0.75 * mu
     nu2 = 0.5 * (-nu1 + math.sqrt(4.0 * mu**2 - 3.0 * nu1**2))
     return validate_intensities(IntensitySet(mu=mu, nu1=nu1, nu2=nu2, nu3=nu3))
+
+
+def _grid_points(start_km: float, stop_km: float, step_km: float) -> int:
+    """Number of points of the grid start:stop:step, checked before anything is allocated."""
+    if not all(math.isfinite(v) for v in (start_km, stop_km, step_km)):
+        raise ValueError(f"start, stop and step must be finite, got {start_km}:{stop_km}:{step_km}")
+    if step_km <= 0:
+        raise ValueError("step_km must be > 0")
+    if start_km > stop_km:
+        raise ValueError("start_km must be <= stop_km")
+    span = (stop_km - start_km) / step_km + 1e-9
+    if not span < MAX_SWEEP_POINTS:
+        raise ValueError(f"{span + 1:.3g} sweep points exceed the limit of {MAX_SWEEP_POINTS}")
+    return int(span) + 1
 
 
 @dataclass(frozen=True)
@@ -82,17 +111,14 @@ class SweepSpec:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}; expected one of {PROTOCOLS}")
-        if self.step_km <= 0:
-            raise ValueError("step_km must be > 0")
-        if self.start_km > self.stop_km:
-            raise ValueError("start_km must be <= stop_km")
+        _grid_points(self.start_km, self.stop_km, self.step_km)
         if isinstance(self.mu, str):
             if self.mu != OPTIMAL_MU:
                 raise ValueError(f"mu must be a number or {OPTIMAL_MU!r}, got {self.mu!r}")
             if self.protocol != PROTOCOL_SARG04_NO_DECOY:
                 raise ValueError("per-distance optimal mu is only defined for sarg04-no-decoy")
-        elif self.mu <= 0:
-            raise ValueError("mu must be > 0")
+        elif not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
 
 
 def rate_at(
@@ -103,45 +129,46 @@ def rate_at(
     intensities: IntensitySet | None = None,
     nu3: float = DEFAULT_NU3,
 ) -> KeyRatePoint:
-    """Secure key rate of one protocol at one distance."""
-    params = channel.at_distance(distance_km)
+    """Secure key rate of one protocol, elementwise in distance.
+
+    For an array of distances the returned point holds arrays of that shape.
+    A number is evaluated as a one-element array, with the same arithmetic.
+    """
+    distances = np.atleast_1d(np.asarray(distance_km, dtype=float))
+    params = channel.at_distance(distances)
     if protocol == PROTOCOL_SARG04_NO_DECOY:
         if mu == OPTIMAL_MU:
             mu = optimal_mu_sarg04(transmittance(params))
         signal = ObservedTally(mu, honest_gain(mu, params), honest_qber(mu, params))
-        q0 = params.y0 * math.exp(-mu)
-        omega = untagged_fraction(signal, mu)
-        rate = rate_sarg04_worst(signal, q0, omega)
-        return KeyRatePoint(protocol, distance_km, mu, rate)
-
-    if intensities is None:
-        intensities = construct_intensity_set(mu, nu3)
-    tallies = synthesize_tallies(intensities, params)
-    bounds = estimate_photon_bounds(tallies, intensities)
-    signal = tallies[-1]
-    if protocol == PROTOCOL_BB84_DECOY:
-        rate = rate_bb84_decoy(signal, bounds, params.f_ec)
-    elif protocol == PROTOCOL_NONORTHOGONAL_DECOY:
-        rate = rate_nonorthogonal_decoy(signal, bounds, params.f_ec)
+        q0 = params.y0 * np.exp(-mu)
+        rate = rate_sarg04_worst(signal, q0, untagged_fraction(signal, mu))
     else:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    return KeyRatePoint(protocol, distance_km, intensities.mu, rate)
+        if intensities is None:
+            intensities = construct_intensity_set(mu, nu3)
+        mu = intensities.mu
+        tallies = synthesize_tallies(intensities, params)
+        bounds = estimate_photon_bounds(tallies, intensities)
+        if protocol == PROTOCOL_BB84_DECOY:
+            rate = rate_bb84_decoy(tallies[-1], bounds, params.f_ec)
+        elif protocol == PROTOCOL_NONORTHOGONAL_DECOY:
+            rate = rate_nonorthogonal_decoy(tallies[-1], bounds, params.f_ec)
+        else:
+            raise ValueError(f"unknown protocol {protocol!r}")
+    mus = np.broadcast_to(mu, distances.shape)
+    if np.ndim(distance_km) == 0:
+        return KeyRatePoint(protocol, distance_km, float(mus[0]), float(rate[0]))
+    return KeyRatePoint(protocol, distances, mus, rate)
 
 
 def sweep(spec: SweepSpec) -> list[KeyRatePoint]:
-    """Evaluate the rate on the requested distance grid, in distance order.
-
-    Points are independent of each other; callers may evaluate them
-    concurrently and merge by distance, which reproduces this output.
-    """
-    count = int(math.floor((spec.stop_km - spec.start_km) / spec.step_km + 1e-9)) + 1
-    points = []
-    for i in range(count):
-        d = spec.start_km + i * spec.step_km
-        points.append(
-            rate_at(spec.protocol, spec.mu, spec.channel, d, spec.intensities, spec.nu3)
-        )
-    return points
+    """Evaluate the rate on the requested distance grid, in distance order."""
+    count = _grid_points(spec.start_km, spec.stop_km, spec.step_km)
+    distances = spec.start_km + np.arange(count) * spec.step_km
+    grid = rate_at(spec.protocol, spec.mu, spec.channel, distances, spec.intensities, spec.nu3)
+    return [
+        KeyRatePoint(spec.protocol, d, mu, rate)
+        for d, mu, rate in zip(distances.tolist(), grid.mu.tolist(), grid.rate.tolist())
+    ]
 
 
 def max_secure_distance(
@@ -150,31 +177,28 @@ def max_secure_distance(
     channel: ChannelParams,
     intensities: IntensitySet | None = None,
     nu3: float = DEFAULT_NU3,
-    coarse_step_km: float = 5.0,
-    resolution_km: float = 0.1,
-    scan_limit_km: float = 1000.0,
 ) -> float:
     """Largest distance with a strictly positive rate.
 
-    Coarse 5 km scan from zero until the rate goes non-positive, then
-    bisection of the last bracket down to 0.1 km.
+    Scans a COARSE_STEP_KM grid for the first non-positive rate, then bisects
+    the bracket before it down to RESOLUTION_KM. A halving can only land on the
+    lattice that splits the bracket into 2^k steps, so that lattice is evaluated
+    in one call and the halvings are replayed on it.
     """
-
-    def rate(d: float) -> float:
-        return rate_at(protocol, mu, channel, d, intensities, nu3).rate
-
-    if rate(0.0) <= 0:
+    grid = np.arange(0.0, SCAN_LIMIT_KM + COARSE_STEP_KM, COARSE_STEP_KM)
+    grid = grid[transmittance(channel.at_distance(grid)) >= SCAN_MIN_TRANSMITTANCE]
+    secure = rate_at(protocol, mu, channel, grid, intensities, nu3).rate > 0
+    if not (secure.size and secure[0]):
         raise NeverSecureError(f"{protocol} has no positive rate even at zero distance")
-    d = coarse_step_km
-    while rate(d) > 0:
-        d += coarse_step_km
-        if d > scan_limit_km:
-            raise ValueError(f"rate still positive at the {scan_limit_km} km scan limit")
-    lo, hi = d - coarse_step_km, d
-    while hi - lo > resolution_km:
-        mid = 0.5 * (lo + hi)
-        if rate(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    end = int(np.argmin(secure))
+    if secure[end]:
+        raise ValueError(f"rate still positive at the {grid[-1]} km scan limit")
+
+    steps = 2 ** math.ceil(math.log2(COARSE_STEP_KM / RESOLUTION_KM))
+    lattice = grid[end - 1] + np.arange(steps + 1) * (COARSE_STEP_KM / steps)
+    secure = rate_at(protocol, mu, channel, lattice, intensities, nu3).rate > 0
+    lo, hi = 0, steps
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if secure[mid] else (lo, mid)
+    return float(0.5 * (lattice[lo] + lattice[hi]))

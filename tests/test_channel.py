@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from decoyqkd import (
@@ -161,6 +162,16 @@ class TestSynthesizeTallies:
         ("e_det", -0.01),
         ("e_det", 0.6),
         ("f_ec", 0.9),
+    ]
+    + [
+        (field, value)
+        for field in ("alpha_db_per_km", "distance_km", "eta_bob", "y0", "e_det", "f_ec")
+        for value in (math.nan, math.inf, -math.inf)
+    ]
+    + [
+        ("distance_km", np.array([0.0, 50.0, math.nan])),
+        ("distance_km", np.array([0.0, math.inf])),
+        ("distance_km", np.array([10.0, -1.0])),
     ],
 )
 def test_channel_params_invariants(field, value):

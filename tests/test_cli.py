@@ -1,6 +1,9 @@
+import math
+from pathlib import Path
+
 import pytest
 
-from decoyqkd import GYS
+from decoyqkd import GYS, PROTOCOLS
 from decoyqkd.cli import (
     EXIT_CONFIG,
     EXIT_CONSTRAINT,
@@ -121,8 +124,37 @@ class TestRun:
         assert run_cli(["--mu", "abc"]) == EXIT_CONFIG
         assert run_cli(["--distance", "0-100-1"]) == EXIT_CONFIG
         assert run_cli(["--protocol", "b92"]) == EXIT_CONFIG
+        # non-finite values, and a sweep too large to allocate
+        for args in (
+            ["--fec", "nan"],
+            ["--alpha", "nan"],
+            ["--alpha", "inf"],
+            ["--distance", "0:10:nan"],
+            ["--distance", "0:inf:1"],
+            ["--distance", "0:1e9:1e-3"],
+        ):
+            assert run_cli(args) == EXIT_CONFIG, args
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             run_cli(["--frequency", "1"])
         assert excinfo.value.code == 2
+
+
+RECORDED = Path(__file__).resolve().parents[1] / "bench" / "reference" / "cli-default"
+
+
+def test_default_run_reproduces_recorded_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli([]) == EXIT_OK
+    assert capsys.readouterr().out == (RECORDED / "stdout.txt").read_text()
+    for protocol in PROTOCOLS:
+        got = (tmp_path / f"{protocol}.csv").read_text().split("\n")
+        want = (RECORDED / f"{protocol}.csv").read_text().split("\n")
+        assert got[0] == want[0] and len(got) == len(want) and got[-1] == "", protocol
+        for got_row, want_row in zip(got[1:-1], want[1:-1]):
+            for g, w in zip(map(float, got_row.split(",")), map(float, want_row.split(","))):
+                # one unit of the 12th printed digit, with the benchmark's
+                # 1e-15 floor for rates that cancel to near zero
+                unit = 10.0 ** (math.floor(math.log10(abs(w))) - 11) if w else 0.0
+                assert abs(g - w) <= max(unit, 1e-15), (protocol, got_row, want_row)

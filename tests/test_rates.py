@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from decoyqkd import (
@@ -208,3 +209,39 @@ class TestBisectRoot:
 
     def test_endpoint_root(self):
         assert bisect_root(lambda x: x, 0.0, 1.0) == 0.0
+
+    def test_elementwise_steps_match_scalar_bisection(self):
+        # reference: the scalar loop, one bracket at a time
+        def scalar_bisect(f, lo, hi, xtol):
+            f_lo = f(lo)
+            if f_lo == 0:
+                return lo
+            if f(hi) == 0:
+                return hi
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                f_mid = f(mid)
+                if f_mid == 0:
+                    return mid
+                if (f_mid > 0) == (f_lo > 0):
+                    lo, f_lo = mid, f_mid
+                else:
+                    hi = mid
+                if hi - lo <= xtol:
+                    break
+            return 0.5 * (lo + hi)
+
+        rng = np.random.default_rng(3)
+        roots = rng.uniform(-5.0, 5.0, 300)
+        slopes = rng.choice([-2.0, 0.5, 3.0], 300)
+        lo = roots - rng.uniform(0.0, 40.0, 300)
+        hi = roots + rng.uniform(0.0, 40.0, 300)
+        # exact roots at an end, at a midpoint, and brackets of every width
+        lo[:3], hi[:3], roots[:3] = [0.0, -1.0, -2.0], [1.0, 0.0, 2.0], [0.0, 0.0, 0.0]
+        for xtol in (1e-12, 1e-3, 0.7):
+            got = bisect_root(lambda x: slopes * (x - roots), lo, hi, xtol=xtol)
+            want = [
+                scalar_bisect(lambda x: s * (x - r), a, b, xtol)
+                for s, r, a, b in zip(slopes, roots, lo, hi)
+            ]
+            assert got.tolist() == want

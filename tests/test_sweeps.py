@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,10 +11,13 @@ from decoyqkd import (
     SweepSpec,
     balance_residual,
     construct_intensity_set,
+    estimate_photon_bounds,
     max_secure_distance,
     rate_at,
     sweep,
+    synthesize_tallies,
 )
+from decoyqkd.sweeps import MAX_SWEEP_POINTS
 
 
 class TestConstructIntensitySet:
@@ -77,6 +83,11 @@ class TestSweep:
             dict(start_km=50.0, stop_km=10.0),
             dict(protocol="bb85"),
             dict(mu=-0.3),
+            dict(step_km=math.nan),
+            dict(stop_km=math.inf),
+            dict(start_km=-math.inf),
+            dict(mu=math.nan),
+            dict(protocol="sarg04-no-decoy", mu=math.inf),
         ],
     )
     def test_invalid_spec_rejected(self, gys, kwargs):
@@ -86,6 +97,18 @@ class TestSweep:
         base.update(kwargs)
         with pytest.raises(ValueError):
             SweepSpec(**base)
+
+    def test_oversized_grid_rejected_before_allocation(self, gys):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=str(MAX_SWEEP_POINTS)):
+                SweepSpec("bb84-decoy", 0.0, 1e9, 1e-3, 0.48, gys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # the largest allowed grid is accepted
+        SweepSpec("bb84-decoy", 0.0, MAX_SWEEP_POINTS - 1.0, 1.0, 0.48, gys)
 
     def test_monotone_decreasing_past_peak(self, gys):
         for protocol, mu in (("bb84-decoy", 0.48), ("nonorthogonal-decoy", 0.30)):
@@ -124,3 +147,38 @@ class TestMaxSecureDistance:
         best = untagged_mass(rate_at("sarg04-no-decoy", "optimal", gys, 50.0).mu)
         for mu in np.linspace(0.01, 0.5, 50):
             assert best >= untagged_mass(float(mu)) - 1e-15
+
+
+class TestDistanceArrays:
+    """A distance array gives exactly the values of one call per distance."""
+
+    DISTANCES = np.arange(0, 401.0)  # past every cutoff, where the clamps fire
+
+    @pytest.mark.parametrize(
+        "protocol,mu",
+        [
+            ("bb84-decoy", 0.48),
+            ("nonorthogonal-decoy", 0.30),
+            ("sarg04-no-decoy", 0.1),
+            ("sarg04-no-decoy", "optimal"),
+        ],
+    )
+    def test_rate_at_grid_equals_scalar_calls(self, gys, protocol, mu):
+        grid = rate_at(protocol, mu, gys, self.DISTANCES)
+        points = [rate_at(protocol, mu, gys, float(d)) for d in self.DISTANCES]
+        assert grid.distance_km.tolist() == [p.distance_km for p in points]
+        assert grid.mu.tolist() == [p.mu for p in points]
+        assert grid.rate.tolist() == [p.rate for p in points]
+
+    def test_bounds_of_array_tallies_equal_per_distance_bounds(self, gys):
+        s = construct_intensity_set(0.48)
+        grid = estimate_photon_bounds(synthesize_tallies(s, gys.at_distance(self.DISTANCES)), s)
+        fields = ("y0", "q0", "y1_lower", "e1_upper", "q1_lower", "y2_lower", "q2_lower", "e2_upper")
+        flags = set()
+        for i, d in enumerate(self.DISTANCES.tolist()):
+            point = estimate_photon_bounds(synthesize_tallies(s, gys.at_distance(d)), s)
+            for field in fields:
+                assert getattr(grid, field)[i] == getattr(point, field), (field, d)
+            flags.update(point.flags)
+        assert set(grid.flags) == flags
+        assert "e1U clamped to 1/2" in flags and "e2U clamped to 1" in flags
