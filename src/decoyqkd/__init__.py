@@ -11,9 +11,6 @@ from .bounds import (
     IntensityConstraintError,
     PhotonBounds,
     balance_residual,
-    bound_single_photon,
-    bound_two_photon,
-    estimate_background,
     estimate_photon_bounds,
     validate_intensities,
 )

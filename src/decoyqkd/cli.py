@@ -166,6 +166,7 @@ def resolve_config(argv: list[str] | None = None) -> RunConfig:
             e_det=pick(args.edet, "edet", float, base.e_det),
             f_ec=pick(args.fec, "fec", float, base.f_ec),
         )
+        nu3 = pick(args.nu3, "nu3", float, DEFAULT_NU3)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -173,7 +174,6 @@ def resolve_config(argv: list[str] | None = None) -> RunConfig:
     mu = _parse_mu(args.mu) if args.mu is not None else (
         _parse_mu(file_values["mu"]) if "mu" in file_values else None
     )
-    nu3 = pick(args.nu3, "nu3", float, DEFAULT_NU3)
     distance = _parse_distance(pick(args.distance, "distance", str, "0:250:1"))
     out = Path(pick(args.out, "out", Path, Path(".")))
     config = RunConfig(

@@ -110,8 +110,10 @@ def rate_sarg04_worst(signal_tally: ObservedTally, q0: float, omega: float) -> f
 def optimal_mu_sarg04(eta: float) -> float:
     """Signal intensity maximizing the worst-case no-decoy SARG04 rate.
 
-    Solves eta e^(-eta mu) = (1/2) mu^2 e^(-mu) by bisection on (0, 2) to
+    Solves eta e^(-eta mu) = (1/2) mu^2 e^(-mu) by bisection on (1e-15, 2) to
     1e-12, elementwise in eta; for eta << 1 the root approaches sqrt(2 eta).
+    Below a transmittance of about 5e-31 the root lies under 1e-15, where
+    mu^2 = 2 eta e^((1 - eta) mu) is sqrt(2 eta) to double precision.
     """
     eta = np.asarray(eta, dtype=float)
     if not ((eta > 0) & (eta <= 1)).all():
@@ -123,7 +125,12 @@ def optimal_mu_sarg04(eta: float) -> float:
         # all that the bisection reads, are those of the residual
         return two_eta * np.exp(neg_eta * mu) - mu**2 * np.exp(-mu)
 
-    return bisect_root(residual, np.full(eta.shape, 1e-15), np.full(eta.shape, 2.0))
+    lo = np.full(eta.shape, 1e-15)
+    # roots under 1e-15 are bracketed from 0 (residual 2 eta > 0) only so that the
+    # bisection runs; their result is sqrt(2 eta)
+    tiny = residual(lo) < 0
+    lo[tiny] = 0.0
+    return np.where(tiny, np.sqrt(two_eta), bisect_root(residual, lo, np.full(eta.shape, 2.0)))[()]
 
 
 def rate_nonorthogonal_decoy(

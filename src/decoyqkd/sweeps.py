@@ -48,10 +48,6 @@ MAX_SWEEP_POINTS = 100_000
 COARSE_STEP_KM = 5.0
 RESOLUTION_KM = 0.1
 SCAN_LIMIT_KM = 1000.0
-#: The scan also ends where the transmittance falls below this (300 dB of loss):
-#: there dark counts swamp the signal of any link with a background yield above
-#: ~1e-29, and the optimal SARG04 intensity ~sqrt(2 eta) leaves its bracket.
-SCAN_MIN_TRANSMITTANCE = 1e-30
 
 #: Sentinel for per-distance optimization of the signal intensity
 #: (sarg04-no-decoy only).
@@ -138,7 +134,9 @@ def rate_at(
     params = channel.at_distance(distances)
     if protocol == PROTOCOL_SARG04_NO_DECOY:
         if mu == OPTIMAL_MU:
-            mu = optimal_mu_sarg04(transmittance(params))
+            # where the transmittance underflows to 0 no signal arrives: send none
+            eta = transmittance(params)
+            mu = np.piecewise(eta, [eta > 0], [optimal_mu_sarg04])
         signal = ObservedTally(mu, honest_gain(mu, params), honest_qber(mu, params))
         q0 = params.y0 * np.exp(-mu)
         rate = rate_sarg04_worst(signal, q0, untagged_fraction(signal, mu))
@@ -186,9 +184,8 @@ def max_secure_distance(
     in one call and the halvings are replayed on it.
     """
     grid = np.arange(0.0, SCAN_LIMIT_KM + COARSE_STEP_KM, COARSE_STEP_KM)
-    grid = grid[transmittance(channel.at_distance(grid)) >= SCAN_MIN_TRANSMITTANCE]
     secure = rate_at(protocol, mu, channel, grid, intensities, nu3).rate > 0
-    if not (secure.size and secure[0]):
+    if not secure[0]:
         raise NeverSecureError(f"{protocol} has no positive rate even at zero distance")
     end = int(np.argmin(secure))
     if secure[end]:

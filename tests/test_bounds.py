@@ -9,9 +9,6 @@ from decoyqkd import (
     IntensitySet,
     ObservedTally,
     balance_residual,
-    bound_single_photon,
-    bound_two_photon,
-    estimate_background,
     estimate_photon_bounds,
     exact_stats,
     synthesize_tallies,
@@ -43,6 +40,9 @@ class TestValidateIntensities:
             (dict(mu=0.30, nu1=0.24, nu2=0.1156035949, nu3=0.05), "nu1 <= 3mu/4"),
             (dict(mu=0.60, nu1=0.45, nu2=0.14, nu3=0.05), "nu1 + nu2 > mu"),
             (dict(mu=0.30, nu1=0.225, nu2=0.19, nu3=0.12), "nu2 + nu3 < mu"),
+            (dict(mu=0.30, nu1=0.2, nu2=0.2, nu3=0.01), "nu2 < nu1"),
+            # a balanced set whose bound denominators underflow to 0
+            (dict(mu=1e-120, nu1=7.5e-121, nu2=3.853453162872775e-121, nu3=1e-122), "denominators"),
         ],
     )
     def test_each_inequality_rejected(self, kwargs, fragment):
@@ -61,33 +61,48 @@ class TestValidateIntensities:
             validate_intensities(IntensitySet(mu=0.0, nu1=0.1, nu2=0.05, nu3=0.01))
 
 
+def balanced_set(mu, nu3=0.01):
+    nu1 = 0.75 * mu
+    return IntensitySet(mu=mu, nu1=nu1, nu2=quadratic_nu2(mu, nu1), nu3=nu3)
+
+
+#: A channel without dark counts, so that its vacuum class reads y0 = 0.
+DARK = ChannelParams(0.21, 20.0, 0.045, 0.0, 0.033, 1.22)
+
+
+def with_vacuum(vacuum, params, s):
+    """The honest tallies of ``params`` with ``vacuum`` in place of the vacuum class."""
+    return [vacuum, *synthesize_tallies(s, params)[1:]]
+
+
 class TestEstimateBackground:
-    def test_reads_vacuum_gain(self):
-        y0, e0 = estimate_background(ObservedTally(0.0, 1.7e-6, 0.5))
+    def test_reads_vacuum_gain(self, gys):
+        s = balanced_set(0.48)
+        bounds = estimate_photon_bounds(with_vacuum(ObservedTally(0.0, 1.7e-6, 0.5), gys, s), s)
+        y0, e0 = bounds.y0, bounds.e0
         assert y0 == 1.7e-6
         assert e0 == 0.5
 
     def test_no_dark_counts(self):
-        assert estimate_background(ObservedTally(0.0, 0.0, 0.5)) == (0.0, 0.5)
+        s = balanced_set(0.48)
+        bounds = estimate_photon_bounds(synthesize_tallies(s, DARK), s)
+        assert (bounds.y0, bounds.e0) == (0.0, 0.5)
 
-    def test_e0_fixed_regardless_of_observation(self):
-        _, e0 = estimate_background(ObservedTally(0.0, 1e-6, 0.37))
+    def test_e0_fixed_regardless_of_observation(self, gys):
+        s = balanced_set(0.48)
+        e0 = estimate_photon_bounds(with_vacuum(ObservedTally(0.0, 1e-6, 0.37), gys, s), s).e0
         assert e0 == 0.5
 
     def test_honest_channel_recovers_parameter(self, gys):
-        s = IntensitySet(mu=0.48, nu1=0.36, nu2=0.185, nu3=0.05)
+        s = balanced_set(0.48, nu3=0.05)
         for d in (0, 60, 120):
-            vacuum = synthesize_tallies(s, gys.at_distance(d))[0]
-            assert estimate_background(vacuum)[0] == gys.y0
+            tallies = synthesize_tallies(s, gys.at_distance(d))
+            assert estimate_photon_bounds(tallies, s).y0 == gys.y0
 
-    def test_nonzero_intensity_rejected(self):
+    def test_nonzero_intensity_rejected(self, gys):
+        s = balanced_set(0.48)
         with pytest.raises(ValueError, match="vacuum"):
-            estimate_background(ObservedTally(0.05, 1e-3, 0.1))
-
-
-def balanced_set(mu, nu3=0.01):
-    nu1 = 0.75 * mu
-    return IntensitySet(mu=mu, nu1=nu1, nu2=quadratic_nu2(mu, nu1), nu3=nu3)
+            estimate_photon_bounds(with_vacuum(ObservedTally(0.05, 1e-3, 0.1), gys, s), s)
 
 
 class TestBoundSinglePhoton:
@@ -95,7 +110,7 @@ class TestBoundSinglePhoton:
         params = gys.at_distance(20)
         s = balanced_set(0.48)
         tallies = synthesize_tallies(s, params)
-        result = bound_single_photon(tallies, s, gys.y0, 0.5)
+        result = estimate_photon_bounds(tallies, s)
         exact = exact_stats(1, s.mu, params)
         assert 0 < result.y1_lower <= exact.detection_yield + 1e-12
         assert result.e1_upper >= exact.error_rate - 1e-12
@@ -104,14 +119,14 @@ class TestBoundSinglePhoton:
         params = ChannelParams(0.21, 0.0, 1.0, 0.0, 0.033, 1.22)
         s = balanced_set(0.48)
         tallies = synthesize_tallies(s, params)
-        result = bound_single_photon(tallies, s, 0.0, 0.5)
+        result = estimate_photon_bounds(tallies, s)
         assert 0 <= result.y1_lower <= 1.0
 
     def test_degenerate_decoys_rejected(self, gys):
         s = IntensitySet(mu=0.48, nu1=0.36, nu2=0.05, nu3=0.05)
         tallies = synthesize_tallies(s, gys)
         with pytest.raises(IntensityConstraintError):
-            bound_single_photon(tallies, s, gys.y0, 0.5)
+            estimate_photon_bounds(tallies, s)
 
     def test_vacuous_bound_clamped_and_flagged(self):
         # gains crafted so the nu2/nu3 difference goes negative
@@ -123,7 +138,7 @@ class TestBoundSinglePhoton:
             ObservedTally(s.nu1, 3e-4, 0.1),
             ObservedTally(s.mu, 4e-4, 0.1),
         ]
-        result = bound_single_photon(tallies, s, 1e-6, 0.5)
+        result = estimate_photon_bounds(tallies, s)
         assert result.y1_lower == 0.0
         assert result.q1_lower == 0.0
         assert any("vacuous" in flag for flag in result.flags)
@@ -131,7 +146,7 @@ class TestBoundSinglePhoton:
     def test_gain_relation(self, gys):
         params = gys.at_distance(40)
         s = balanced_set(0.30)
-        result = bound_single_photon(synthesize_tallies(s, params), s, gys.y0, 0.5)
+        result = estimate_photon_bounds(synthesize_tallies(s, params), s)
         assert result.q1_lower == pytest.approx(result.y1_lower * s.mu * math.exp(-s.mu), rel=1e-14)
 
 
@@ -140,7 +155,7 @@ class TestBoundTwoPhoton:
         params = gys.at_distance(20)
         s = balanced_set(0.30)
         tallies = synthesize_tallies(s, params)
-        result = bound_two_photon(tallies, s, gys.y0, 0.5)
+        result = estimate_photon_bounds(tallies, s)
         exact = exact_stats(2, s.mu, params)
         assert 0 < result.y2_lower <= exact.detection_yield + 1e-12
         assert result.e2_upper >= exact.error_rate - 1e-12
@@ -150,7 +165,7 @@ class TestBoundTwoPhoton:
         params = ChannelParams(0.21, 3000.0, 0.045, 0.0, 0.033, 1.22)
         s = balanced_set(0.30)
         tallies = synthesize_tallies(s, params)
-        result = bound_two_photon(tallies, s, 0.0, 0.5)
+        result = estimate_photon_bounds(tallies, s)
         assert result.y2_lower <= 1e-15
         assert result.q2_lower <= 1e-15
 
@@ -158,7 +173,7 @@ class TestBoundTwoPhoton:
         s = IntensitySet(mu=0.60, nu1=0.41, nu2=0.15, nu3=0.05)
         tallies = synthesize_tallies(s, gys)
         with pytest.raises(IntensityConstraintError, match=r"nu1 \+ nu2 > mu"):
-            bound_two_photon(tallies, s, gys.y0, 0.5)
+            estimate_photon_bounds(tallies, s)
 
     def test_e2_upper_sensitivity_to_nu3(self, gys):
         # the error budget scales like 1/nu3^2 against a numerator ~ nu3,
@@ -168,7 +183,7 @@ class TestBoundTwoPhoton:
         for nu3 in (0.01, 0.05, 0.1):
             s = balanced_set(0.30, nu3=nu3)
             tallies = synthesize_tallies(s, params)
-            uppers.append(bound_two_photon(tallies, s, gys.y0, 0.5).e2_upper)
+            uppers.append(estimate_photon_bounds(tallies, s).e2_upper)
         assert uppers[0] >= uppers[1] >= uppers[2]
 
 

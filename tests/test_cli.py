@@ -61,6 +61,11 @@ class TestConfigFile:
         cfg.write_text("just some words\n")
         assert run_cli(["--config", str(cfg)]) == EXIT_CONFIG
 
+    def test_non_numeric_nu3_rejected(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("nu3 = abc\n")
+        assert run_cli(["--config", str(cfg)]) == EXIT_CONFIG
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("\n# full comment\nmu = 0.3  # trailing comment\n\n")
@@ -111,6 +116,20 @@ class TestRun:
         raw = (tmp_path / "bb84-decoy.csv").read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+    def test_links_past_300_db_of_loss_run(self, tmp_path):
+        # the optimal SARG04 intensity ~sqrt(2 eta) falls below 1e-15 there, and
+        # at 4 dB/km the transmittance underflows to 0 inside the grids
+        for args in (
+            ["--distance", "0:2000:10"],
+            ["--eta-bob", "1e-40"],
+            ["--alpha", "4"],
+            ["--alpha", "4", "--distance", "0:2000:10"],
+        ):
+            assert run_cli(args + ["--out", str(tmp_path)]) == EXIT_OK, args
+        # at 2000 km no signal arrives, so no intensity is sent and no key made
+        last = (tmp_path / "sarg04-no-decoy.csv").read_text().splitlines()[-1]
+        assert last.split(",")[1:] == ["0.00000000000e+00", "0.00000000000e+00"]
 
     def test_constraint_violation_exit_code(self, tmp_path, capsys):
         # nu3 above the constructed nu2: rejected with the inequality named

@@ -164,6 +164,9 @@ class TestOptimalMuSarg04:
     def test_vanishes_with_transmittance(self):
         assert optimal_mu_sarg04(1e-10) < 2e-5
 
+    def test_root_below_1e_15(self):
+        assert optimal_mu_sarg04(1e-40) == pytest.approx(math.sqrt(2e-40), rel=1e-12)
+
     @pytest.mark.parametrize("eta", [0.0, -0.1, 1.5])
     def test_invalid_transmittance_rejected(self, eta):
         with pytest.raises(ValueError):
