@@ -7,15 +7,17 @@ Usage example:
 writes one ``<protocol>.csv`` per protocol (header ``distance_km,mu,rate``)
 and prints the maximal secure distance of each protocol.
 
-A flat key=value config file (UTF-8, ``#`` comments) can supply any
-option; command-line flags override file values.
+Each option is declared once, in ``OPTIONS``, and reaches the sweeps by one
+path. Its text is the flag, else the value in a flat key=value config file
+(UTF-8, ``#`` comments, the option names as keys), else the default; that
+text is parsed once by the option's own function, wherever it came from.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 from typing import Union
 
@@ -37,11 +39,6 @@ EXIT_CONSTRAINT = 3
 
 _PRESETS = {"gys": GYS}
 
-#: Keys accepted in a config file; anything else is rejected.
-CONFIG_KEYS = frozenset(
-    {"preset", "protocol", "mu", "nu3", "alpha", "eta_bob", "y0", "edet", "fec", "distance", "out"}
-)
-
 _DEFAULT_MU = {
     "bb84-decoy": 0.48,
     "nonorthogonal-decoy": 0.48,
@@ -49,56 +46,10 @@ _DEFAULT_MU = {
 }
 
 
-class ConfigError(ValueError):
-    """Unusable configuration file or option combination."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run parameters."""
-
-    channel: ChannelParams
-    protocols: tuple[str, ...]
-    mu: Union[float, str, None]
-    nu3: float
-    distance: tuple[float, float, float]
-    out: Path
-
-    def specs(self) -> list[SweepSpec]:
-        """One sweep per protocol; ValueError if the options do not make one."""
-        specs = []
-        for protocol in self.protocols:
-            mu = _DEFAULT_MU[protocol] if self.mu is None else self.mu
-            specs.append(SweepSpec(protocol, *self.distance, mu, self.channel, nu3=self.nu3))
-        return specs
-
-
-def load_config_file(path: Path) -> dict[str, str]:
-    """Parse a flat key=value config file; unknown keys are rejected."""
-    values: dict[str, str] = {}
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value
-    return values
-
-
-def _parse_distance(text: str) -> tuple[float, float, float]:
-    try:
-        start, stop, step = (float(p) for p in text.split(":"))
-    except ValueError as exc:
-        raise ConfigError(f"distance must be numeric start:stop:step, got {text!r}") from exc
-    return start, stop, step
+def _parse_preset(text: str) -> ChannelParams:
+    if text not in _PRESETS:
+        raise ValueError(f"unknown preset {text!r}; expected one of {sorted(_PRESETS)}")
+    return _PRESETS[text]
 
 
 def _parse_protocols(text: str) -> tuple[str, ...]:
@@ -107,17 +58,63 @@ def _parse_protocols(text: str) -> tuple[str, ...]:
     names = tuple(name.strip() for name in text.split(","))
     for name in names:
         if name not in PROTOCOLS:
-            raise ConfigError(f"unknown protocol {name!r}; expected one of {PROTOCOLS} or 'all'")
+            raise ValueError(f"unknown protocol {name!r}; expected one of {PROTOCOLS} or 'all'")
     return names
 
 
 def _parse_mu(text: str) -> Union[float, str]:
-    if text == OPTIMAL_MU:
-        return OPTIMAL_MU
+    return OPTIMAL_MU if text == OPTIMAL_MU else float(text)
+
+
+def _parse_distance(text: str) -> tuple[float, float, float]:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"expected start:stop:step, got {text!r}")
+    start, stop, step = map(float, parts)
+    return start, stop, step
+
+
+#: Every option, once: name -> (parse, default text, help). The flag is the
+#: name with dashes and the config-file key is the name. A channel option
+#: without a text keeps its preset's value; mu without one takes _DEFAULT_MU.
+OPTIONS = {
+    "preset": (_parse_preset, "gys", "named channel parameter set (gys)"),
+    "protocol": (_parse_protocols, "all", "protocol name, comma list, or 'all'"),
+    "mu": (_parse_mu, None, "signal intensity, or 'optimal' (sarg04-no-decoy)"),
+    "nu3": (float, str(DEFAULT_NU3), "weakest decoy intensity"),
+    "alpha": (float, None, "fiber attenuation in dB/km"),
+    "eta_bob": (float, None, "receiver detection efficiency"),
+    "y0": (float, None, "background yield per pulse"),
+    "edet": (float, None, "misalignment error probability"),
+    "fec": (float, None, "error-correction inefficiency factor"),
+    "distance": (_parse_distance, "0:250:1", "sweep range start:stop:step in km"),
+    "out": (Path, ".", "output directory for CSV files"),
+}
+
+#: The ChannelParams field each channel option overrides.
+_CHANNEL_FIELDS = dict(
+    alpha="alpha_db_per_km", eta_bob="eta_bob", y0="y0", edet="e_det", fec="f_ec"
+)
+
+
+def load_config_file(path: Path) -> dict[str, str]:
+    """Parse a flat key=value config file; keys other than option names are rejected."""
+    values: dict[str, str] = {}
     try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"mu must be a number or {OPTIMAL_MU!r}, got {text!r}") from exc
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in OPTIONS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = value
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,64 +123,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Secure key rate curves for decoy-state QKD protocols.",
     )
     parser.add_argument("--config", type=Path, help="key=value config file")
-    parser.add_argument("--preset", choices=sorted(_PRESETS), help="named channel parameter set")
-    parser.add_argument("--protocol", help="protocol name, comma list, or 'all'")
-    parser.add_argument("--mu", help="signal intensity, or 'optimal' (sarg04-no-decoy)")
-    parser.add_argument("--nu3", type=float, help="weakest decoy intensity")
-    parser.add_argument("--alpha", type=float, help="fiber attenuation in dB/km")
-    parser.add_argument("--eta-bob", type=float, help="receiver detection efficiency")
-    parser.add_argument("--y0", type=float, help="background yield per pulse")
-    parser.add_argument("--edet", type=float, help="misalignment error probability")
-    parser.add_argument("--fec", type=float, help="error-correction inefficiency factor")
-    parser.add_argument("--distance", help="sweep range start:stop:step in km")
-    parser.add_argument("--out", type=Path, help="output directory for CSV files")
+    for name, (_, _, help_text) in OPTIONS.items():
+        parser.add_argument("--" + name.replace("_", "-"), help=help_text)
     return parser
 
 
-def resolve_config(argv: list[str] | None = None) -> RunConfig:
-    """Merge defaults, config file, and flags into a RunConfig."""
-    args = build_parser().parse_args(argv)
-    file_values = load_config_file(args.config) if args.config else {}
+def resolve_config(argv: list[str] | None = None) -> tuple[list[SweepSpec], Path]:
+    """One SweepSpec per requested protocol, and the output directory.
 
-    def pick(flag_value, key: str, parse, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return parse(file_values[key])
-        return default
-
-    preset_name = pick(args.preset, "preset", str, "gys")
-    if preset_name not in _PRESETS:
-        raise ConfigError(f"unknown preset {preset_name!r}")
-    base = _PRESETS[preset_name]
-
-    try:
-        channel = ChannelParams(
-            alpha_db_per_km=pick(args.alpha, "alpha", float, base.alpha_db_per_km),
-            distance_km=0.0,
-            eta_bob=pick(args.eta_bob, "eta_bob", float, base.eta_bob),
-            y0=pick(args.y0, "y0", float, base.y0),
-            e_det=pick(args.edet, "edet", float, base.e_det),
-            f_ec=pick(args.fec, "fec", float, base.f_ec),
+    ValueError names the option whose text does not parse; SweepSpec and
+    ChannelParams reject values that parse but do not make a sweep.
+    """
+    flags = vars(build_parser().parse_args(argv))
+    config = flags.pop("config")
+    texts = {name: default for name, (_, default, _) in OPTIONS.items()}
+    if config is not None:
+        texts.update(load_config_file(config))
+    texts.update((name, text) for name, text in flags.items() if text is not None)
+    values = {}
+    for name, text in texts.items():
+        if text is not None:
+            try:
+                values[name] = OPTIONS[name][0](text)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from exc
+    overrides = {field: values[name] for name, field in _CHANNEL_FIELDS.items() if name in values}
+    channel = replace(values["preset"], **overrides)
+    specs = [
+        SweepSpec(
+            protocol,
+            *values["distance"],
+            values.get("mu", _DEFAULT_MU[protocol]),
+            channel,
+            nu3=values["nu3"],
         )
-        nu3 = pick(args.nu3, "nu3", float, DEFAULT_NU3)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    protocols = _parse_protocols(pick(args.protocol, "protocol", str, "all"))
-    mu = _parse_mu(args.mu) if args.mu is not None else (
-        _parse_mu(file_values["mu"]) if "mu" in file_values else None
-    )
-    distance = _parse_distance(pick(args.distance, "distance", str, "0:250:1"))
-    out = Path(pick(args.out, "out", Path, Path(".")))
-    config = RunConfig(
-        channel=channel, protocols=protocols, mu=mu, nu3=nu3, distance=distance, out=out
-    )
-    try:
-        config.specs()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return config
+        for protocol in values["protocol"]
+    ]
+    return specs, values["out"]
 
 
 def write_csv(path: Path, points) -> None:
@@ -193,15 +169,15 @@ def write_csv(path: Path, points) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def run(config: RunConfig) -> int:
-    config.out.mkdir(parents=True, exist_ok=True)
-    for spec in config.specs():
+def run(specs: list[SweepSpec], out: Path) -> int:
+    out.mkdir(parents=True, exist_ok=True)
+    for spec in specs:
         protocol, mu = spec.protocol, spec.mu
-        csv_path = config.out / f"{protocol}.csv"
+        csv_path = out / f"{protocol}.csv"
         write_csv(csv_path, sweep(spec))
         mu_label = mu if isinstance(mu, str) else f"{mu:g}"
         try:
-            cutoff = max_secure_distance(protocol, mu, config.channel, nu3=config.nu3)
+            cutoff = max_secure_distance(protocol, mu, spec.channel, nu3=spec.nu3)
             print(f"{protocol} (mu={mu_label}): max secure distance {cutoff:.1f} km -> {csv_path}")
         except NeverSecureError:
             print(f"{protocol} (mu={mu_label}): never secure -> {csv_path}")
@@ -209,16 +185,16 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Exit 2 for a bad option or a link the model cannot evaluate, 3 for a
+    violated intensity constraint; the library raises only ValueErrors."""
     try:
-        config = resolve_config(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return run(config)
+        return run(*resolve_config(argv))
     except IntensityConstraintError as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from .channel import (
 from .rates import (
     KeyRatePoint,
     PROTOCOL_BB84_DECOY,
-    PROTOCOL_NONORTHOGONAL_DECOY,
     PROTOCOL_SARG04_NO_DECOY,
     PROTOCOLS,
     optimal_mu_sarg04,
@@ -85,14 +84,27 @@ def _grid_points(start_km: float, stop_km: float, step_km: float) -> int:
     return int(span) + 1
 
 
+def _check_request(protocol: str, mu: Union[float, str]) -> None:
+    """ValueError unless ``protocol`` is known and ``mu`` is a finite positive
+    intensity, or ``"optimal"`` for sarg04-no-decoy."""
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
+    if isinstance(mu, str):
+        if mu != OPTIMAL_MU:
+            raise ValueError(f"mu must be a number or {OPTIMAL_MU!r}, got {mu!r}")
+        if protocol != PROTOCOL_SARG04_NO_DECOY:
+            raise ValueError("per-distance optimal mu is only defined for sarg04-no-decoy")
+    elif not 0 < mu < math.inf:
+        raise ValueError(f"mu must be finite and > 0, got {mu}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A rate-vs-distance sweep request.
 
     ``mu`` is either a fixed signal intensity or ``"optimal"`` to re-solve
     the optimal intensity at every distance (sarg04-no-decoy only).
-    ``intensities`` overrides the auto-constructed decoy set; ``nu3`` feeds
-    the auto-construction when no explicit set is given.
+    ``nu3`` is the weakest decoy of the auto-constructed decoy set.
     """
 
     protocol: str
@@ -101,20 +113,11 @@ class SweepSpec:
     step_km: float
     mu: Union[float, str]
     channel: ChannelParams
-    intensities: IntensitySet | None = None
     nu3: float = DEFAULT_NU3
 
     def __post_init__(self):
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {self.protocol!r}; expected one of {PROTOCOLS}")
+        _check_request(self.protocol, self.mu)
         _grid_points(self.start_km, self.stop_km, self.step_km)
-        if isinstance(self.mu, str):
-            if self.mu != OPTIMAL_MU:
-                raise ValueError(f"mu must be a number or {OPTIMAL_MU!r}, got {self.mu!r}")
-            if self.protocol != PROTOCOL_SARG04_NO_DECOY:
-                raise ValueError("per-distance optimal mu is only defined for sarg04-no-decoy")
-        elif not 0 < self.mu < math.inf:
-            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
 
 
 def rate_at(
@@ -122,7 +125,6 @@ def rate_at(
     mu: Union[float, str],
     channel: ChannelParams,
     distance_km: float,
-    intensities: IntensitySet | None = None,
     nu3: float = DEFAULT_NU3,
 ) -> KeyRatePoint:
     """Secure key rate of one protocol, elementwise in distance.
@@ -130,6 +132,7 @@ def rate_at(
     For an array of distances the returned point holds arrays of that shape.
     A number is evaluated as a one-element array, with the same arithmetic.
     """
+    _check_request(protocol, mu)
     distances = np.atleast_1d(np.asarray(distance_km, dtype=float))
     params = channel.at_distance(distances)
     if protocol == PROTOCOL_SARG04_NO_DECOY:
@@ -141,17 +144,13 @@ def rate_at(
         q0 = params.y0 * np.exp(-mu)
         rate = rate_sarg04_worst(signal, q0, untagged_fraction(signal, mu))
     else:
-        if intensities is None:
-            intensities = construct_intensity_set(mu, nu3)
-        mu = intensities.mu
+        intensities = construct_intensity_set(mu, nu3)
         tallies = synthesize_tallies(intensities, params)
         bounds = estimate_photon_bounds(tallies, intensities)
         if protocol == PROTOCOL_BB84_DECOY:
             rate = rate_bb84_decoy(tallies[-1], bounds, params.f_ec)
-        elif protocol == PROTOCOL_NONORTHOGONAL_DECOY:
-            rate = rate_nonorthogonal_decoy(tallies[-1], bounds, params.f_ec)
         else:
-            raise ValueError(f"unknown protocol {protocol!r}")
+            rate = rate_nonorthogonal_decoy(tallies[-1], bounds, params.f_ec)
     mus = np.broadcast_to(mu, distances.shape)
     if np.ndim(distance_km) == 0:
         return KeyRatePoint(protocol, distance_km, float(mus[0]), float(rate[0]))
@@ -162,7 +161,7 @@ def sweep(spec: SweepSpec) -> list[KeyRatePoint]:
     """Evaluate the rate on the requested distance grid, in distance order."""
     count = _grid_points(spec.start_km, spec.stop_km, spec.step_km)
     distances = spec.start_km + np.arange(count) * spec.step_km
-    grid = rate_at(spec.protocol, spec.mu, spec.channel, distances, spec.intensities, spec.nu3)
+    grid = rate_at(spec.protocol, spec.mu, spec.channel, distances, spec.nu3)
     return [
         KeyRatePoint(spec.protocol, d, mu, rate)
         for d, mu, rate in zip(distances.tolist(), grid.mu.tolist(), grid.rate.tolist())
@@ -173,7 +172,6 @@ def max_secure_distance(
     protocol: str,
     mu: Union[float, str],
     channel: ChannelParams,
-    intensities: IntensitySet | None = None,
     nu3: float = DEFAULT_NU3,
 ) -> float:
     """Largest distance with a strictly positive rate.
@@ -184,7 +182,7 @@ def max_secure_distance(
     in one call and the halvings are replayed on it.
     """
     grid = np.arange(0.0, SCAN_LIMIT_KM + COARSE_STEP_KM, COARSE_STEP_KM)
-    secure = rate_at(protocol, mu, channel, grid, intensities, nu3).rate > 0
+    secure = rate_at(protocol, mu, channel, grid, nu3).rate > 0
     if not secure[0]:
         raise NeverSecureError(f"{protocol} has no positive rate even at zero distance")
     end = int(np.argmin(secure))
@@ -193,7 +191,7 @@ def max_secure_distance(
 
     steps = 2 ** math.ceil(math.log2(COARSE_STEP_KM / RESOLUTION_KM))
     lattice = grid[end - 1] + np.arange(steps + 1) * (COARSE_STEP_KM / steps)
-    secure = rate_at(protocol, mu, channel, lattice, intensities, nu3).rate > 0
+    secure = rate_at(protocol, mu, channel, lattice, nu3).rate > 0
     lo, hi = 0, steps
     while hi - lo > 1:
         mid = (lo + hi) // 2

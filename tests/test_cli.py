@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from decoyqkd import GYS, PROTOCOLS
+from decoyqkd import GYS, PROTOCOLS, ChannelParams
 from decoyqkd.cli import (
     EXIT_CONFIG,
     EXIT_CONSTRAINT,
@@ -20,34 +20,58 @@ def run_cli(args):
 
 class TestResolveConfig:
     def test_gys_preset_values(self):
-        config = resolve_config(["--preset", "gys"])
-        assert config.channel.alpha_db_per_km == 0.21
-        assert config.channel.e_det == 0.033
-        assert config.channel.y0 == 1.7e-6
-        assert config.channel.eta_bob == 0.045
-        assert config.channel.f_ec == 1.22
-        assert config.channel == GYS
+        specs, _ = resolve_config(["--preset", "gys"])
+        channel = specs[0].channel
+        assert channel.alpha_db_per_km == 0.21
+        assert channel.e_det == 0.033
+        assert channel.y0 == 1.7e-6
+        assert channel.eta_bob == 0.045
+        assert channel.f_ec == 1.22
+        assert channel == GYS
 
     def test_flag_overrides_preset(self):
-        config = resolve_config(["--preset", "gys", "--alpha", "0.25"])
-        assert config.channel.alpha_db_per_km == 0.25
-        assert config.channel.e_det == 0.033
+        specs, _ = resolve_config(["--preset", "gys", "--alpha", "0.25"])
+        assert specs[0].channel.alpha_db_per_km == 0.25
+        assert specs[0].channel.e_det == 0.033
 
     def test_protocol_selection(self):
-        config = resolve_config(["--protocol", "bb84-decoy,sarg04-no-decoy"])
-        assert config.protocols == ("bb84-decoy", "sarg04-no-decoy")
-        assert len(resolve_config(["--protocol", "all"]).protocols) == 3
+        specs, _ = resolve_config(["--protocol", "bb84-decoy,sarg04-no-decoy"])
+        assert tuple(spec.protocol for spec in specs) == ("bb84-decoy", "sarg04-no-decoy")
+        assert len(resolve_config(["--protocol", "all"])[0]) == 3
 
     def test_config_file_merged_and_overridden(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\nmu = 0.30\nprotocol = bb84-decoy\nnu3 = 0.02\n")
-        config = resolve_config(["--config", str(cfg), "--mu", "0.48"])
-        assert config.mu == 0.48  # flag wins
-        assert config.nu3 == 0.02
-        assert config.protocols == ("bb84-decoy",)
+        specs, _ = resolve_config(["--config", str(cfg), "--mu", "0.48"])
+        assert specs[0].mu == 0.48  # flag wins
+        assert specs[0].nu3 == 0.02
+        assert tuple(spec.protocol for spec in specs) == ("bb84-decoy",)
 
     def test_distance_parsing(self):
-        assert resolve_config(["--distance", "0:0:1"]).distance == (0.0, 0.0, 1.0)
+        spec = resolve_config(["--distance", "0:0:1"])[0][0]
+        assert (spec.start_km, spec.stop_km, spec.step_km) == (0.0, 0.0, 1.0)
+
+    def test_config_file_and_flags_resolve_alike(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "preset = gys\nprotocol = bb84-decoy,nonorthogonal-decoy\nmu = 0.3\nnu3 = 0.02\n"
+            "alpha = 0.25\neta_bob = 0.05\ny0 = 2e-6\nedet = 0.02\nfec = 1.1\n"
+            f"distance = 0:40:5\nout = {out}\n"
+        )
+        flags = [
+            "--preset", "gys", "--protocol", "bb84-decoy,nonorthogonal-decoy", "--mu", "0.3",
+            "--nu3", "0.02", "--alpha", "0.25", "--eta-bob", "0.05", "--y0", "2e-6",
+            "--edet", "0.02", "--fec", "1.1", "--distance", "0:40:5", "--out", str(out),
+        ]
+        specs, resolved_out = resolve_config(["--config", str(cfg)])
+        assert (specs, resolved_out) == resolve_config(flags)
+        assert resolved_out == out
+        assert specs[0].channel == ChannelParams(0.25, 0.0, 0.05, 2e-6, 0.02, 1.1)
+        assert [(s.protocol, s.start_km, s.stop_km, s.step_km, s.mu, s.nu3) for s in specs] == [
+            ("bb84-decoy", 0.0, 40.0, 5.0, 0.3, 0.02),
+            ("nonorthogonal-decoy", 0.0, 40.0, 5.0, 0.3, 0.02),
+        ]
 
 
 class TestConfigFile:
@@ -139,11 +163,13 @@ class TestRun:
         assert code == EXIT_CONSTRAINT
         assert "nu3 < nu2" in capsys.readouterr().err
 
-    def test_bad_flag_value_exit_code(self):
+    def test_bad_flag_value_exit_code(self, tmp_path, capsys):
         assert run_cli(["--mu", "abc"]) == EXIT_CONFIG
         assert run_cli(["--distance", "0-100-1"]) == EXIT_CONFIG
         assert run_cli(["--protocol", "b92"]) == EXIT_CONFIG
-        # non-finite values, and a sweep too large to allocate
+        # non-finite values, a sweep too large to allocate, and links without
+        # dark counts that the model cannot evaluate: still secure at the
+        # scan limit, and a zero gain (so no QBER) where the transmittance underflows
         for args in (
             ["--fec", "nan"],
             ["--alpha", "nan"],
@@ -151,8 +177,12 @@ class TestRun:
             ["--distance", "0:10:nan"],
             ["--distance", "0:inf:1"],
             ["--distance", "0:1e9:1e-3"],
+            ["--y0", "0", "--protocol", "bb84-decoy", "--distance", "0:10:5"],
+            ["--y0", "0", "--alpha", "4", "--protocol", "bb84-decoy"],
         ):
-            assert run_cli(args) == EXIT_CONFIG, args
+            capsys.readouterr()
+            assert run_cli(args + ["--out", str(tmp_path)]) == EXIT_CONFIG, args
+            assert "error:" in capsys.readouterr().err, args
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -74,6 +74,10 @@ class TestSweep:
     def test_optimal_mu_rejected_for_decoy_protocols(self, gys):
         with pytest.raises(ValueError):
             SweepSpec("bb84-decoy", 0.0, 10.0, 1.0, "optimal", gys)
+        with pytest.raises(ValueError):
+            rate_at("bb84-decoy", "optimal", gys, 10.0)
+        with pytest.raises(ValueError):
+            max_secure_distance("bb84-decoy", "optimal", gys)
 
     @pytest.mark.parametrize(
         "kwargs",
