@@ -185,14 +185,15 @@ def run(specs: list[SweepSpec], out: Path) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Exit 2 for a bad option or a link the model cannot evaluate, 3 for a
-    violated intensity constraint; the library raises only ValueErrors."""
+    """Exit 2 for a bad option, an output path that cannot be written or a
+    link the model cannot evaluate, 3 for a violated intensity constraint;
+    the library raises only ValueErrors, and the output path OSErrors."""
     try:
         return run(*resolve_config(argv))
     except IntensityConstraintError as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

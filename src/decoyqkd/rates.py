@@ -11,7 +11,8 @@ Protocols:
                         and two-photon fractions bounded via decoy states.
 
 Every formula is elementwise in distance: tallies and bounds whose fields
-are arrays over distances give a rate array of the same shape.
+are arrays over distances give a rate array of the same shape. The optimal
+SARG04 intensity is solved the same way, by a fixed number of Newton steps.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 from .bounds import PhotonBounds
 from .channel import ObservedTally
-from .roots import bisect_root
 
 PROTOCOL_BB84_DECOY = "bb84-decoy"
 PROTOCOL_SARG04_NO_DECOY = "sarg04-no-decoy"
@@ -107,30 +107,48 @@ def rate_sarg04_worst(signal_tally: ObservedTally, q0: float, omega: float) -> f
     return SIFTING[PROTOCOL_SARG04_NO_DECOY] * (q0 + untagged_term - cost)
 
 
+#: optimal_mu_sarg04 reports the midpoint of the cell that holds the root,
+#: among the 2^41 equal cells of (1e-15, 2).
+_MU_LO = 1e-15
+_MU_CELL = (2.0 - _MU_LO) / 2**41
+_NEWTON_STEPS = 5
+
+
 def optimal_mu_sarg04(eta: float) -> float:
     """Signal intensity maximizing the worst-case no-decoy SARG04 rate.
 
-    Solves eta e^(-eta mu) = (1/2) mu^2 e^(-mu) by bisection on (1e-15, 2) to
-    1e-12, elementwise in eta; for eta << 1 the root approaches sqrt(2 eta).
-    Below a transmittance of about 5e-31 the root lies under 1e-15, where
+    The optimum solves eta e^(-eta mu) = (1/2) mu^2 e^(-mu), elementwise in
+    eta; for eta << 1 the root approaches sqrt(2 eta). That is
+    mu = -W0(-k sqrt(2 eta)) / k with k = (1 - eta)/2 (Lambert W, principal
+    branch; Corless et al. 1996), computed without W by Newton's method on
+    the concave log form ln mu - k mu - ln sqrt(2 eta) = 0. From sqrt(2 eta)
+    the iterates rise monotonically to the root, and 5 steps bring the log
+    residual to round-off on all of (0, 1].
+
+    The root is then snapped to the midpoint of its cell of width
+    (2 - 1e-15) / 2^41 in (1e-15, 2). That is the value a bisection of
+    the interval to 1e-12 returns, up to the rounding of its midpoints (a
+    few ulps), so outputs recorded from such a bisection keep their
+    printed digits; the unsnapped root moves them. Below a
+    transmittance of about 5e-31 the root lies under 1e-15, where
     mu^2 = 2 eta e^((1 - eta) mu) is sqrt(2 eta) to double precision.
     """
     eta = np.asarray(eta, dtype=float)
     if not ((eta > 0) & (eta <= 1)).all():
         raise ValueError(f"transmittance must be in (0, 1], got {eta}")
-    neg_eta, two_eta = -eta, 2.0 * eta
-
-    def residual(mu):
-        # twice the residual; doubling is exact, so its signs and zeros,
-        # all that the bisection reads, are those of the residual
-        return two_eta * np.exp(neg_eta * mu) - mu**2 * np.exp(-mu)
-
-    lo = np.full(eta.shape, 1e-15)
-    # roots under 1e-15 are bracketed from 0 (residual 2 eta > 0) only so that the
-    # bisection runs; their result is sqrt(2 eta)
-    tiny = residual(lo) < 0
-    lo[tiny] = 0.0
-    return np.where(tiny, np.sqrt(two_eta), bisect_root(residual, lo, np.full(eta.shape, 2.0)))[()]
+    two_eta = 2.0 * eta
+    lo = np.full(eta.shape, _MU_LO)
+    # the residual eta e^(-eta mu) - (1/2) mu^2 e^(-mu), doubled, is negative
+    # at 1e-15 where the root lies below it
+    tiny = two_eta * np.exp(-eta * lo) - lo**2 * np.exp(-lo) < 0
+    k = 0.5 * (1.0 - eta)
+    mu = start = np.sqrt(two_eta)
+    log_target = np.log(start)
+    for _ in range(_NEWTON_STEPS):
+        mu = mu - mu * (np.log(mu) - k * mu - log_target) / (1.0 - k * mu)
+    # a root within round-off under 1e-15 still belongs to the first cell
+    cell = np.maximum(np.floor((mu - _MU_LO) / _MU_CELL), 0.0)
+    return np.where(tiny, start, _MU_LO + (cell + 0.5) * _MU_CELL)[()]
 
 
 def rate_nonorthogonal_decoy(

@@ -1,4 +1,9 @@
-"""Bracketed bisection, elementwise over arrays of brackets; the only root finder needed."""
+"""Bracketed bisection, elementwise over arrays of brackets.
+
+The library itself no longer calls it: the optimal SARG04 intensity is
+solved by Newton's method in ``rates``. It stays a public export, for
+callers that need a bracketed root of their own function.
+"""
 
 from __future__ import annotations
 

@@ -17,8 +17,8 @@ from .channel import (
     ChannelParams,
     IntensitySet,
     ObservedTally,
-    honest_gain,
-    honest_qber,
+    _gain,
+    _qber,
     synthesize_tallies,
     transmittance,
 )
@@ -136,11 +136,13 @@ def rate_at(
     distances = np.atleast_1d(np.asarray(distance_km, dtype=float))
     params = channel.at_distance(distances)
     if protocol == PROTOCOL_SARG04_NO_DECOY:
+        # honest_gain and honest_qber, sharing one transmittance and one gain
+        eta = transmittance(params)
         if mu == OPTIMAL_MU:
             # where the transmittance underflows to 0 no signal arrives: send none
-            eta = transmittance(params)
             mu = np.piecewise(eta, [eta > 0], [optimal_mu_sarg04])
-        signal = ObservedTally(mu, honest_gain(mu, params), honest_qber(mu, params))
+        gain = _gain(mu, params, eta)
+        signal = ObservedTally(mu, gain, _qber(mu, params, eta, gain))
         q0 = params.y0 * np.exp(-mu)
         rate = rate_sarg04_worst(signal, q0, untagged_fraction(signal, mu))
     else:

@@ -155,6 +155,13 @@ class TestRun:
         last = (tmp_path / "sarg04-no-decoy.csv").read_text().splitlines()[-1]
         assert last.split(",")[1:] == ["0.00000000000e+00", "0.00000000000e+00"]
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["file", "under-file"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys, out):
+        (tmp_path / "afile").write_text("not a directory\n")
+        args = ["--protocol", "bb84-decoy", "--distance", "0:0:1", "--out", str(tmp_path / out)]
+        assert run_cli(args) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_constraint_violation_exit_code(self, tmp_path, capsys):
         # nu3 above the constructed nu2: rejected with the inequality named
         code = run_cli(

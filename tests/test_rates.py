@@ -167,6 +167,25 @@ class TestOptimalMuSarg04:
     def test_root_below_1e_15(self):
         assert optimal_mu_sarg04(1e-40) == pytest.approx(math.sqrt(2e-40), rel=1e-12)
 
+    def test_agrees_with_bisection(self):
+        # the 41-step bisection of (1e-15, 2) to 1e-12, whose cells the
+        # solver reports, on the optimality residual
+        rng = np.random.default_rng(6)
+        eta = np.concatenate(
+            [10.0 ** rng.uniform(math.log10(5e-31), 0.0, 20_000), [1.0, 1 / 3, 1e-30]]
+        )
+
+        def residual(mu):
+            return eta * np.exp(-eta * mu) - 0.5 * mu**2 * np.exp(-mu)
+
+        bisected = bisect_root(residual, np.full(eta.shape, 1e-15), np.full(eta.shape, 2.0))
+        assert np.abs(optimal_mu_sarg04(eta) - bisected).max() <= 2e-12
+
+    def test_lossless_link_gives_bisected_sqrt2(self):
+        # at eta = 1 the optimum solves mu^2 = 2
+        bisected = bisect_root(lambda mu: mu**2 - 2.0, 1e-15, 2.0)
+        assert optimal_mu_sarg04(1.0) == pytest.approx(bisected, abs=2e-12)
+
     @pytest.mark.parametrize("eta", [0.0, -0.1, 1.5])
     def test_invalid_transmittance_rejected(self, eta):
         with pytest.raises(ValueError):
