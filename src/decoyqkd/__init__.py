@@ -30,6 +30,7 @@ from .channel import (
 from .exact import (
     ExactPhotonStats,
     InequalityReport,
+    exact_bounds,
     exact_stats,
     reconstruct_gain,
     verify_bound_inequalities,
@@ -51,6 +52,7 @@ from .sweeps import (
     NeverSecureError,
     SweepSpec,
     construct_intensity_set,
+    exact_ceiling_km,
     max_secure_distance,
     rate_at,
     sweep,

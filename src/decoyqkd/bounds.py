@@ -18,6 +18,7 @@ raised when the clamp fires at any element.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -60,6 +61,8 @@ def validate_intensities(intensities: IntensitySet) -> IntensitySet:
         nu2 + nu3 < mu
         |nu1 - nu2 - (nu1^3 - nu2^3)/mu^2| <= 1e-9
         Y1L and Y2L denominators > 0 as floats (they underflow for mu < ~1e-108)
+        nu3^2 a normal float, as the e1U and e2U scales nu3 and nu3^2 must be
+        (it underflows for nu3 < ~1.5e-154)
 
     Raises IntensityConstraintError naming each violated constraint.
     """
@@ -89,6 +92,8 @@ def validate_intensities(intensities: IntensitySet) -> IntensitySet:
         problems.append(f"nu2 + nu3 < mu violated (nu2+nu3={s.nu2 + s.nu3}, mu={s.mu})")
     if not problems and not min(_denominators(s)) > 0:
         problems.append(f"bound denominators {_denominators(s)} must be > 0 (mu={s.mu})")
+    if not problems and not s.nu3**2 >= sys.float_info.min:
+        problems.append(f"nu3={s.nu3} is too small: nu3^2 underflows below the normal floats")
     if not problems:
         residual = balance_residual(s)
         if abs(residual) > BALANCE_RESIDUAL_TOL:

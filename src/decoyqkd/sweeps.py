@@ -1,14 +1,14 @@
 """Rate-vs-distance sweeps, maximal secure distance, and intensity construction.
 
 ``rate_at`` is elementwise in distance: a sweep is one call over its grid,
-and the cutoff search is two calls.
+and the cutoff search, also the exact-statistics ceiling's, is two calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -19,12 +19,16 @@ from .channel import (
     ObservedTally,
     _gain,
     _qber,
+    honest_gain,
+    honest_qber,
     synthesize_tallies,
     transmittance,
 )
+from .exact import exact_bounds
 from .rates import (
     KeyRatePoint,
     PROTOCOL_BB84_DECOY,
+    PROTOCOL_NONORTHOGONAL_DECOY,
     PROTOCOL_SARG04_NO_DECOY,
     PROTOCOLS,
     optimal_mu_sarg04,
@@ -39,6 +43,11 @@ from .rates import (
 #: holds down to mu = 0.1 with the auto-constructed set.
 DEFAULT_NU3 = 0.01
 
+#: Largest signal intensity accepted. A weak coherent pulse carries well
+#: under one photon on average; up to 100 the e^mu, mu^2 and mu^3 terms of
+#: the bounds and rates stay far from overflow (e^700 overflows them).
+MAX_MU = 100.0
+
 #: Largest number of points a sweep may have.
 MAX_SWEEP_POINTS = 100_000
 
@@ -47,6 +56,12 @@ MAX_SWEEP_POINTS = 100_000
 COARSE_STEP_KM = 5.0
 RESOLUTION_KM = 0.1
 SCAN_LIMIT_KM = 1000.0
+
+#: The rate formula of each decoy protocol, from the signal tally and photon bounds.
+_DECOY_RATE = {
+    PROTOCOL_BB84_DECOY: rate_bb84_decoy,
+    PROTOCOL_NONORTHOGONAL_DECOY: rate_nonorthogonal_decoy,
+}
 
 #: Sentinel for per-distance optimization of the signal intensity
 #: (sarg04-no-decoy only).
@@ -85,8 +100,8 @@ def _grid_points(start_km: float, stop_km: float, step_km: float) -> int:
 
 
 def _check_request(protocol: str, mu: Union[float, str]) -> None:
-    """ValueError unless ``protocol`` is known and ``mu`` is a finite positive
-    intensity, or ``"optimal"`` for sarg04-no-decoy."""
+    """ValueError unless ``protocol`` is known and ``mu`` is an intensity in
+    (0, MAX_MU], or ``"optimal"`` for sarg04-no-decoy."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     if isinstance(mu, str):
@@ -94,8 +109,8 @@ def _check_request(protocol: str, mu: Union[float, str]) -> None:
             raise ValueError(f"mu must be a number or {OPTIMAL_MU!r}, got {mu!r}")
         if protocol != PROTOCOL_SARG04_NO_DECOY:
             raise ValueError("per-distance optimal mu is only defined for sarg04-no-decoy")
-    elif not 0 < mu < math.inf:
-        raise ValueError(f"mu must be finite and > 0, got {mu}")
+    elif not 0 < mu <= MAX_MU:
+        raise ValueError(f"mu must be > 0 and <= {MAX_MU:g}, got {mu}")
 
 
 @dataclass(frozen=True)
@@ -149,10 +164,7 @@ def rate_at(
         intensities = construct_intensity_set(mu, nu3)
         tallies = synthesize_tallies(intensities, params)
         bounds = estimate_photon_bounds(tallies, intensities)
-        if protocol == PROTOCOL_BB84_DECOY:
-            rate = rate_bb84_decoy(tallies[-1], bounds, params.f_ec)
-        else:
-            rate = rate_nonorthogonal_decoy(tallies[-1], bounds, params.f_ec)
+        rate = _DECOY_RATE[protocol](tallies[-1], bounds, params.f_ec)
     mus = np.broadcast_to(mu, distances.shape)
     if np.ndim(distance_km) == 0:
         return KeyRatePoint(protocol, distance_km, float(mus[0]), float(rate[0]))
@@ -170,13 +182,8 @@ def sweep(spec: SweepSpec) -> list[KeyRatePoint]:
     ]
 
 
-def max_secure_distance(
-    protocol: str,
-    mu: Union[float, str],
-    channel: ChannelParams,
-    nu3: float = DEFAULT_NU3,
-) -> float:
-    """Largest distance with a strictly positive rate.
+def _cutoff_km(protocol: str, rates: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Largest distance at which ``rates(distance array)`` is strictly positive.
 
     Scans a COARSE_STEP_KM grid for the first non-positive rate, then bisects
     the bracket before it down to RESOLUTION_KM. A halving can only land on the
@@ -184,7 +191,7 @@ def max_secure_distance(
     in one call and the halvings are replayed on it.
     """
     grid = np.arange(0.0, SCAN_LIMIT_KM + COARSE_STEP_KM, COARSE_STEP_KM)
-    secure = rate_at(protocol, mu, channel, grid, nu3).rate > 0
+    secure = rates(grid) > 0
     if not secure[0]:
         raise NeverSecureError(f"{protocol} has no positive rate even at zero distance")
     end = int(np.argmin(secure))
@@ -193,9 +200,34 @@ def max_secure_distance(
 
     steps = 2 ** math.ceil(math.log2(COARSE_STEP_KM / RESOLUTION_KM))
     lattice = grid[end - 1] + np.arange(steps + 1) * (COARSE_STEP_KM / steps)
-    secure = rate_at(protocol, mu, channel, lattice, nu3).rate > 0
+    secure = rates(lattice) > 0
     lo, hi = 0, steps
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if secure[mid] else (lo, mid)
     return float(0.5 * (lattice[lo] + lattice[hi]))
+
+
+def max_secure_distance(
+    protocol: str,
+    mu: Union[float, str],
+    channel: ChannelParams,
+    nu3: float = DEFAULT_NU3,
+) -> float:
+    """Largest distance with a strictly positive rate, to RESOLUTION_KM."""
+    return _cutoff_km(protocol, lambda grid: rate_at(protocol, mu, channel, grid, nu3).rate)
+
+
+def exact_ceiling_km(protocol: str, mu: float, channel: ChannelParams) -> float:
+    """Cutoff of a decoy protocol's rate with ``exact_bounds`` in place of the
+    decoy bounds: no conservative cutoff lies beyond it, up to RESOLUTION_KM."""
+    _check_request(protocol, mu)
+    if protocol not in _DECOY_RATE:
+        raise ValueError(f"the exact-statistics ceiling needs a decoy protocol, got {protocol!r}")
+
+    def rates(distances):
+        params = channel.at_distance(distances)
+        signal = ObservedTally(mu, honest_gain(mu, params), honest_qber(mu, params))
+        return _DECOY_RATE[protocol](signal, exact_bounds(mu, params), params.f_ec)
+
+    return _cutoff_km(protocol, rates)

@@ -6,11 +6,12 @@ report.
 Two of the paper's headline figures do not hold in the paper's own channel
 model: the 220 km nonorthogonal cutoff at mu = 0.30, and dominance over
 BB84 at every distance. The checks for them first show this with the exact
-photon-number statistics of ``exact_stats``. Fed into the rate formulas in
+photon-number statistics of ``exact_bounds``. Fed into the rate formulas in
 place of the decoy bounds, those statistics give the most key any estimator
-that passes criterion 3 can credit (the exact-statistics ceiling). The checks
-then assert the part of each claim that does hold: a longer cutoff than the
-prior decoy record, SARG04 and decoy BB84, bounded by that ceiling.
+that passes criterion 3 can credit; ``exact_ceiling_km`` is the cutoff of
+that rate (the exact-statistics ceiling). The checks then assert the part of
+each claim that does hold: a longer cutoff than the prior decoy record,
+SARG04 and decoy BB84, bounded by that ceiling.
 """
 
 import math
@@ -23,12 +24,10 @@ from decoyqkd import (
     GYS,
     IntensityConstraintError,
     IntensitySet,
-    ObservedTally,
-    PhotonBounds,
-    bisect_root,
     construct_intensity_set,
     estimate_photon_bounds,
-    exact_stats,
+    exact_bounds,
+    exact_ceiling_km,
     honest_gain,
     honest_qber,
     max_secure_distance,
@@ -41,10 +40,9 @@ from decoyqkd import (
     validate_intensities,
     verify_bound_inequalities,
 )
-from decoyqkd.channel import E_VACUUM
 
 MU_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
-DISTANCE_GRID = list(range(0, 151, 10))
+GYS_GRID = GYS.at_distance(np.arange(0.0, 151.0, 10.0))  # 0-150 km in 10 km steps
 
 
 def check(name, ok, detail):
@@ -53,32 +51,15 @@ def check(name, ok, detail):
     assert ok, line
 
 
-def exact_rate(rate_formula, mu, distance_km):
-    """GYS rate with the exact n = 0, 1, 2 photon statistics in place of the bounds."""
-    params = GYS.at_distance(distance_km)
-    zero, one, two = (exact_stats(n, mu, params) for n in (0, 1, 2))
-    bounds = PhotonBounds(
-        y0=zero.detection_yield,
-        e0=E_VACUUM,
-        q0=zero.gain,
-        y1_lower=one.detection_yield,
-        e1_upper=one.error_rate,
-        q1_lower=one.gain,
-        y2_lower=two.detection_yield,
-        q2_lower=two.gain,
-        e2_upper=two.error_rate,
+def check_within_ceiling(protocol, mu, d):
+    """Check a criterion-1 cutoff against its exact-statistics ceiling, and return the ceiling."""
+    ceiling = exact_ceiling_km(protocol, mu, GYS)
+    check(
+        f"criterion 1: {protocol} mu={mu:.2f} cutoff within the ceiling",
+        d <= ceiling + 0.1,
+        f"{d:.1f} km vs <= {ceiling:.1f} km + 0.1 km resolution",
     )
-    signal = ObservedTally(mu, honest_gain(mu, params), honest_qber(mu, params))
-    return rate_formula(signal, bounds, params.f_ec)
-
-
-def exact_ceiling_km(rate_formula, mu):
-    """Cutoff of the exact-statistics rate, to 0.1 km.
-
-    No estimator whose bounds pass criterion 3 can credit more key, so no
-    conservative cutoff lies beyond this one (up to the 0.1 km resolution).
-    """
-    return bisect_root(lambda d: exact_rate(rate_formula, mu, d), 0.0, 1000.0, xtol=0.1)
+    return ceiling
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +79,7 @@ class TestCriterion1MaximalDistances:
     def test_bb84_decoy_distance(self, fig1_distances):
         d = fig1_distances["bb84"]
         check("criterion 1: bb84-decoy mu=0.48 cutoff", abs(d - 142) <= 5, f"{d:.1f} km vs 142 +/- 5 km")
+        check_within_ceiling("bb84-decoy", 0.48, d)
 
     def test_sarg04_no_decoy_distance(self, fig1_distances):
         d = fig1_distances["sarg04"]
@@ -109,18 +91,13 @@ class TestCriterion1MaximalDistances:
 
     def test_nonorthogonal_mu030_distance(self, fig1_distances):
         d = fig1_distances["nonorth_030"]
-        ceiling = exact_ceiling_km(rate_nonorthogonal_decoy, 0.30)
+        ceiling = check_within_ceiling("nonorthogonal-decoy", 0.30, d)
         check(
             "criterion 1: paper's 220 km at mu=0.30 lies above the exact-statistics ceiling",
             ceiling < 210,
             f"exact single- and two-photon statistics give a {ceiling:.1f} km cutoff, "
             "below the paper's 220 +/- 10 km; reaching 220 km needs a bound that "
             "overstates the exact statistics (Y1L > Y1, say), which criterion 3 forbids",
-        )
-        check(
-            "criterion 1: nonorthogonal-decoy mu=0.30 cutoff within the ceiling",
-            d <= ceiling + 0.1,
-            f"{d:.1f} km vs <= {ceiling:.1f} km + 0.1 km resolution",
         )
         sarg04 = fig1_distances["sarg04"]
         check(
@@ -136,6 +113,7 @@ class TestCriterion1MaximalDistances:
             d > 142,
             f"{d:.1f} km vs > 142 km",
         )
+        check_within_ceiling("nonorthogonal-decoy", 0.48, d)
 
     def test_runtime_budget(self, fig1_distances):
         elapsed = fig1_distances["elapsed_s"]
@@ -144,8 +122,10 @@ class TestCriterion1MaximalDistances:
 
 class TestCriterion2CurveDominance:
     def test_nonorthogonal_dominates_bb84_at_mu048(self, fig1_distances):
-        bb84_0 = exact_rate(rate_bb84_decoy, 0.48, 0.0)
-        nonorth_0 = exact_rate(rate_nonorthogonal_decoy, 0.48, 0.0)
+        signal = synthesize_tallies(construct_intensity_set(0.48), GYS)[-1]
+        exact = exact_bounds(0.48, GYS)
+        bb84_0 = rate_bb84_decoy(signal, exact, GYS.f_ec)
+        nonorth_0 = rate_nonorthogonal_decoy(signal, exact, GYS.f_ec)
         check(
             "criterion 2: dominance at every distance fails even with exact statistics",
             bb84_0 > nonorth_0,
@@ -181,17 +161,14 @@ class TestCriterion2CurveDominance:
 class TestCriterion3Conservativeness:
     def test_bounds_bracket_exact_values_on_grid(self):
         worst = {"y1": -np.inf, "e1": -np.inf, "y2": -np.inf, "e2": -np.inf}
-        for d in DISTANCE_GRID:
-            params = GYS.at_distance(d)
-            for mu in MU_GRID:
-                s = construct_intensity_set(mu)
-                bounds = estimate_photon_bounds(synthesize_tallies(s, params), s)
-                one = exact_stats(1, mu, params)
-                two = exact_stats(2, mu, params)
-                worst["y1"] = max(worst["y1"], bounds.y1_lower - one.detection_yield)
-                worst["e1"] = max(worst["e1"], one.error_rate - bounds.e1_upper)
-                worst["y2"] = max(worst["y2"], bounds.y2_lower - two.detection_yield)
-                worst["e2"] = max(worst["e2"], two.error_rate - bounds.e2_upper)
+        for mu in MU_GRID:
+            s = construct_intensity_set(mu)
+            bounds = estimate_photon_bounds(synthesize_tallies(s, GYS_GRID), s)
+            exact = exact_bounds(mu, GYS_GRID)
+            worst["y1"] = max(worst["y1"], (bounds.y1_lower - exact.y1_lower).max())
+            worst["e1"] = max(worst["e1"], (exact.e1_upper - bounds.e1_upper).max())
+            worst["y2"] = max(worst["y2"], (bounds.y2_lower - exact.y2_lower).max())
+            worst["e2"] = max(worst["e2"], (exact.e2_upper - bounds.e2_upper).max())
         ok = all(v <= 1e-12 for v in worst.values())
         check(
             "criterion 3: bound conservativeness",
@@ -234,15 +211,13 @@ class TestCriterion5InequalityLemmas:
 class TestCriterion6OracleConsistency:
     def test_series_matches_closed_forms(self):
         worst = 0.0
-        for d in DISTANCE_GRID:
-            params = GYS.at_distance(d)
-            for mu in MU_GRID:
-                gain, qber = reconstruct_gain(mu, params)
-                worst = max(
-                    worst,
-                    abs(gain - honest_gain(mu, params)),
-                    abs(qber - honest_qber(mu, params)),
-                )
+        for mu in MU_GRID:
+            gain, qber = reconstruct_gain(mu, GYS_GRID)
+            worst = max(
+                worst,
+                np.abs(gain - honest_gain(mu, GYS_GRID)).max(),
+                np.abs(qber - honest_qber(mu, GYS_GRID)).max(),
+            )
         check("criterion 6: series vs closed form", worst < 1e-9, f"max |difference| {worst:.2e}")
 
 

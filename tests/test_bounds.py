@@ -43,6 +43,8 @@ class TestValidateIntensities:
             (dict(mu=0.30, nu1=0.2, nu2=0.2, nu3=0.01), "nu2 < nu1"),
             # a balanced set whose bound denominators underflow to 0
             (dict(mu=1e-120, nu1=7.5e-121, nu2=3.853453162872775e-121, nu3=1e-122), "denominators"),
+            # nu3^2, the e2U scale, underflows below the normal floats
+            (dict(mu=0.30, nu1=0.225, nu2=0.1156035949, nu3=1e-160), "nu3=1e-160 is too small"),
         ],
     )
     def test_each_inequality_rejected(self, kwargs, fragment):

@@ -169,14 +169,20 @@ class TestRun:
         )
         assert code == EXIT_CONSTRAINT
         assert "nu3 < nu2" in capsys.readouterr().err
+        # a nu3 whose square underflows: rejected with nu3 named
+        for protocol, nu3 in (("nonorthogonal-decoy", "1e-160"), ("bb84-decoy", "1e-320")):
+            args = ["--protocol", protocol, "--nu3", nu3, "--out", str(tmp_path)]
+            assert run_cli(args) == EXIT_CONSTRAINT
+            assert f"nu3={float(nu3)}" in capsys.readouterr().err
 
     def test_bad_flag_value_exit_code(self, tmp_path, capsys):
         assert run_cli(["--mu", "abc"]) == EXIT_CONFIG
         assert run_cli(["--distance", "0-100-1"]) == EXIT_CONFIG
         assert run_cli(["--protocol", "b92"]) == EXIT_CONFIG
-        # non-finite values, a sweep too large to allocate, and links without
-        # dark counts that the model cannot evaluate: still secure at the
-        # scan limit, and a zero gain (so no QBER) where the transmittance underflows
+        # non-finite values, a sweep too large to allocate, too large an intensity,
+        # and links without dark counts that the model cannot evaluate: still
+        # secure at the scan limit, and a zero gain (so no QBER) where the
+        # transmittance underflows
         for args in (
             ["--fec", "nan"],
             ["--alpha", "nan"],
@@ -186,6 +192,10 @@ class TestRun:
             ["--distance", "0:1e9:1e-3"],
             ["--y0", "0", "--protocol", "bb84-decoy", "--distance", "0:10:5"],
             ["--y0", "0", "--alpha", "4", "--protocol", "bb84-decoy"],
+            # intensities past MAX_MU, where e^mu and mu^2 overflow
+            ["--protocol", "bb84-decoy", "--mu", "800"],
+            ["--protocol", "nonorthogonal-decoy", "--mu", "1e155"],
+            ["--protocol", "sarg04-no-decoy", "--mu", "1e300"],
         ):
             capsys.readouterr()
             assert run_cli(args + ["--out", str(tmp_path)]) == EXIT_CONFIG, args

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from decoyqkd import (
     ChannelParams,
+    exact_bounds,
     exact_stats,
     honest_gain,
     honest_qber,
@@ -49,6 +51,16 @@ class TestExactStats:
         assert stats.gain == pytest.approx(
             stats.detection_yield * poisson_weight(0.48, 3), rel=1e-14
         )
+
+    def test_distance_array_equals_scalar_calls(self, gys):
+        distances = np.arange(0.0, 251.0)
+        oracles = [lambda p, n=n: exact_stats(n, 0.3, p) for n in range(4)]
+        for oracle in oracles + [lambda p: exact_bounds(0.3, p)]:
+            grid = vars(oracle(gys.at_distance(distances)))
+            for i, d in enumerate(distances.tolist()):
+                for field, value in vars(oracle(gys.at_distance(d))).items():
+                    if field not in ("e0", "flags"):  # the bounds' two fields not per distance
+                        assert type(value) is np.float64 and grid[field][i] == value, (field, d)
 
 
 class TestReconstructGain:

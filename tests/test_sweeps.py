@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,17 +8,19 @@ import pytest
 from decoyqkd import (
     IntensityConstraintError,
     NeverSecureError,
+    PROTOCOLS,
     ChannelParams,
     SweepSpec,
     balance_residual,
     construct_intensity_set,
     estimate_photon_bounds,
+    exact_ceiling_km,
     max_secure_distance,
     rate_at,
     sweep,
     synthesize_tallies,
 )
-from decoyqkd.sweeps import MAX_SWEEP_POINTS
+from decoyqkd.sweeps import MAX_MU, MAX_SWEEP_POINTS
 
 
 class TestConstructIntensitySet:
@@ -102,6 +105,16 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepSpec(**base)
 
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_largest_mu_runs_without_runtime_warnings(self, gys, protocol):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sweep(SweepSpec(protocol, 0.0, 250.0, 1.0, MAX_MU, gys))
+            with pytest.raises(NeverSecureError):
+                max_secure_distance(protocol, MAX_MU, gys)
+        with pytest.raises(ValueError, match="mu must be"):
+            SweepSpec(protocol, 0.0, 250.0, 1.0, math.nextafter(MAX_MU, math.inf), gys)
+
     def test_oversized_grid_rejected_before_allocation(self, gys):
         tracemalloc.start()
         try:
@@ -151,6 +164,11 @@ class TestMaxSecureDistance:
         best = untagged_mass(rate_at("sarg04-no-decoy", "optimal", gys, 50.0).mu)
         for mu in np.linspace(0.01, 0.5, 50):
             assert best >= untagged_mass(float(mu)) - 1e-15
+
+    def test_exact_ceiling_needs_a_decoy_protocol(self, gys):
+        for protocol, mu in (("sarg04-no-decoy", 0.30), ("nonorthogonal-decoy", "optimal")):
+            with pytest.raises(ValueError):
+                exact_ceiling_km(protocol, mu, gys)
 
 
 class TestDistanceArrays:
