@@ -9,10 +9,10 @@ any channel whose per-photon-number yields lie in [0, 1]: Y1L <= Y1,
 e1U >= e1, Y2L <= Y2, e2U >= e2. ``validate_intensities`` is the one place
 that checks the intensity constraints the bounds rest on.
 
-The tallies are positional, in the order vacuum, nu3, nu2, nu1, mu. The
-bounds are elementwise in distance: tallies whose gains and QBERs are
-arrays over distances give bounds of the same shape, and a clamp flag is
-raised when the clamp fires at any element.
+The tallies are positional: one ``ObservedTally`` with the classes vacuum,
+nu3, nu2, nu1, mu on axis 0. The bounds are elementwise in distance:
+tallies whose gains and QBERs are arrays over distances give bounds of the
+same shape, and a clamp flag is raised when the clamp fires at any element.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -147,12 +146,11 @@ class PhotonBounds:
     flags: tuple[str, ...] = ()
 
 
-def estimate_photon_bounds(
-    tallies: Iterable[ObservedTally], intensities: IntensitySet
-) -> PhotonBounds:
+def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) -> PhotonBounds:
     """Vacuum, single-photon and two-photon bounds from the five observed
-    tallies, in the order vacuum, nu3, nu2, nu1, mu (as ``synthesize_tallies``
-    returns them), for an intensity set that passes ``validate_intensities``.
+    pulse classes, stacked on axis 0 in the order vacuum, nu3, nu2, nu1, mu
+    (as ``synthesize_tallies`` returns them), for an intensity set that
+    passes ``validate_intensities``.
 
     Y0 is the vacuum gain. The vacuum error rate e0 is taken to be 1/2
     regardless of the observed value, because dark counts are random, and
@@ -180,26 +178,27 @@ def estimate_photon_bounds(
     like 1/nu3^2 as nu3 shrinks.
     """
     s = validate_intensities(intensities)
-    vacuum, t3, t2, t1, signal = tallies
-    if vacuum.intensity != 0:
+    vacuum_intensity = tallies.intensity[0]
+    if vacuum_intensity != 0:
         raise ValueError(
-            f"background must be estimated from the vacuum class, got intensity {vacuum.intensity}"
+            f"background must be estimated from the vacuum class, got intensity {vacuum_intensity}"
         )
-    y0, e0 = vacuum.gain, E_VACUUM
+    y0, q_nu3, q_nu2, q_nu1, q_mu = tallies.gain
+    e_nu3, e0 = tallies.qber[1], E_VACUUM
     mu, nu1, nu2, nu3 = s.mu, s.nu1, s.nu2, s.nu3
-    signal_excess = signal.gain * math.exp(mu) - y0
+    signal_excess = q_mu * math.exp(mu) - y0
     denominator_1, denominator_2 = _denominators(s)
 
-    numerator = mu**2 * (t2.gain * math.exp(nu2) - t3.gain * math.exp(nu3)) - (
+    numerator = mu**2 * (q_nu2 * math.exp(nu2) - q_nu3 * math.exp(nu3)) - (
         nu2**2 - nu3**2
     ) * signal_excess
-    error_weight = t3.qber * t3.gain * math.exp(nu3) - e0 * y0
+    error_weight = e_nu3 * q_nu3 * math.exp(nu3) - e0 * y0
     y1, e1, flags_1 = _clamp(1, numerator / denominator_1, error_weight, nu3)
 
-    numerator = 2.0 * mu * (t1.gain * math.exp(nu1) - t2.gain * math.exp(nu2)) - 2.0 * (
+    numerator = 2.0 * mu * (q_nu1 * math.exp(nu1) - q_nu2 * math.exp(nu2)) - 2.0 * (
         nu1 - nu2
     ) * signal_excess
-    error_weight = 2.0 * t3.qber * t3.gain * math.exp(nu3) - 2.0 * e0 * y0
+    error_weight = 2.0 * e_nu3 * q_nu3 * math.exp(nu3) - 2.0 * e0 * y0
     y2, e2, flags_2 = _clamp(2, numerator / denominator_2, error_weight, nu3**2)
 
     return PhotonBounds(

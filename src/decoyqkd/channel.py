@@ -102,11 +102,12 @@ class IntensitySet:
 
 @dataclass(frozen=True)
 class ObservedTally:
-    """Measured gain and QBER for one pulse class.
+    """Measured gain and QBER for one pulse class, or for several stacked on axis 0.
 
     ``gain`` is the probability per sent pulse that Bob registers a
     detection; ``qber`` is the error fraction among those detections. Each
     field may be an array over distances, and every element is checked.
+    ``synthesize_tallies`` stacks the five classes; ``row`` takes one out.
     """
 
     intensity: float
@@ -120,6 +121,10 @@ class ObservedTally:
             raise ParameterError("gain must be in [0, 1]")
         if not _holds((self.qber >= 0) & (self.qber <= 1)):
             raise ParameterError("qber must be in [0, 1]")
+
+    def row(self, index: int) -> "ObservedTally":
+        """The tally of pulse class ``index`` of a stacked tally (-1 is the signal)."""
+        return ObservedTally(self.intensity[index], self.gain[index], self.qber[index])
 
 
 def poisson_weight(mu: float, n: int) -> float:
@@ -167,17 +172,24 @@ def honest_qber(intensity: float, params: ChannelParams) -> float:
     return _qber(intensity, params, eta, _gain(intensity, params, eta))
 
 
-def synthesize_tallies(intensities: IntensitySet, params: ChannelParams) -> list[ObservedTally]:
+def synthesize_tallies(intensities: IntensitySet, params: ChannelParams) -> ObservedTally:
     """Honest-channel observables for vacuum, the three decoys, and the signal.
 
-    Returned in ascending intensity: vacuum, nu3, nu2, nu1, mu.
+    One tally with the five pulse classes on axis 0, in ascending intensity:
+    vacuum, nu3, nu2, nu1, mu. ``intensity`` holds the five intensities, and
+    each row of ``gain`` and ``qber`` has the shape of the distance.
     """
     eta = transmittance(params)
-    tallies = [ObservedTally(0.0, _gain(0.0, params, eta), E_VACUUM)]
-    for intensity in (intensities.nu3, intensities.nu2, intensities.nu1, intensities.mu):
-        gain = _gain(intensity, params, eta)
-        tallies.append(ObservedTally(intensity, gain, _qber(intensity, params, eta, gain)))
-    return tallies
+    s = intensities
+    intensity = np.array([0.0, s.nu3, s.nu2, s.nu1, s.mu])
+    # one column per class, broadcast against the distances
+    column = intensity.reshape((5,) + (1,) * np.ndim(eta))
+    gain = _gain(column, params, eta)
+    qber = np.empty_like(gain)
+    # dark counts are random; the vacuum gain may be 0, where _qber is undefined
+    qber[0] = E_VACUUM
+    qber[1:] = _qber(column[1:], params, eta, gain[1:])
+    return ObservedTally(intensity, gain, qber)
 
 
 def _gain(intensity: float, params: ChannelParams, eta: float) -> float:

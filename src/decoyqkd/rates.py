@@ -38,9 +38,13 @@ SIFTING = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class KeyRatePoint:
-    """Rate of one protocol at one distance, or arrays of them over a distance array."""
+    """Rate of one protocol at one distance, or arrays of them over a distance array.
+
+    Not frozen: a sweep builds one per distance, and a frozen dataclass sets
+    each field through object.__setattr__, several times slower.
+    """
 
     protocol: str
     distance_km: float

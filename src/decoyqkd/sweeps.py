@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Union
 
 import numpy as np
 
-from .bounds import estimate_photon_bounds, validate_intensities
+from .bounds import IntensityConstraintError, estimate_photon_bounds, validate_intensities
 from .channel import (
     ChannelParams,
     IntensitySet,
@@ -78,8 +79,11 @@ def construct_intensity_set(mu: float, nu3: float = DEFAULT_NU3) -> IntensitySet
     Pins nu1 at its upper limit 3mu/4 (maximizing the nu1 - nu2 gap) and
     takes nu2 as the positive root of nu2^2 + nu1 nu2 + (nu1^2 - mu^2) = 0,
     which satisfies the cubic balance condition exactly. The result is
-    fully validated.
+    fully validated; a mu outside (0, MAX_MU] is rejected before any
+    arithmetic, whose squares would overflow past about 1e154.
     """
+    if not 0 < mu <= MAX_MU:
+        raise IntensityConstraintError(f"mu must be > 0 and <= {MAX_MU:g}, got {mu}")
     nu1 = 0.75 * mu
     nu2 = 0.5 * (-nu1 + math.sqrt(4.0 * mu**2 - 3.0 * nu1**2))
     return validate_intensities(IntensitySet(mu=mu, nu1=nu1, nu2=nu2, nu3=nu3))
@@ -155,7 +159,8 @@ def rate_at(
         eta = transmittance(params)
         if mu == OPTIMAL_MU:
             # where the transmittance underflows to 0 no signal arrives: send none
-            mu = np.piecewise(eta, [eta > 0], [optimal_mu_sarg04])
+            arrives = eta > 0
+            mu = np.where(arrives, optimal_mu_sarg04(np.where(arrives, eta, 1.0)), 0.0)
         gain = _gain(mu, params, eta)
         signal = ObservedTally(mu, gain, _qber(mu, params, eta, gain))
         q0 = params.y0 * np.exp(-mu)
@@ -164,7 +169,7 @@ def rate_at(
         intensities = construct_intensity_set(mu, nu3)
         tallies = synthesize_tallies(intensities, params)
         bounds = estimate_photon_bounds(tallies, intensities)
-        rate = _DECOY_RATE[protocol](tallies[-1], bounds, params.f_ec)
+        rate = _DECOY_RATE[protocol](tallies.row(-1), bounds, params.f_ec)
     mus = np.broadcast_to(mu, distances.shape)
     if np.ndim(distance_km) == 0:
         return KeyRatePoint(protocol, distance_km, float(mus[0]), float(rate[0]))
@@ -176,10 +181,8 @@ def sweep(spec: SweepSpec) -> list[KeyRatePoint]:
     count = _grid_points(spec.start_km, spec.stop_km, spec.step_km)
     distances = spec.start_km + np.arange(count) * spec.step_km
     grid = rate_at(spec.protocol, spec.mu, spec.channel, distances, spec.nu3)
-    return [
-        KeyRatePoint(spec.protocol, d, mu, rate)
-        for d, mu, rate in zip(distances.tolist(), grid.mu.tolist(), grid.rate.tolist())
-    ]
+    columns = distances.tolist(), grid.mu.tolist(), grid.rate.tolist()
+    return list(map(KeyRatePoint, repeat(spec.protocol), *columns))
 
 
 def _cutoff_km(protocol: str, rates: Callable[[np.ndarray], np.ndarray]) -> float:

@@ -122,7 +122,7 @@ class TestCriterion1MaximalDistances:
 
 class TestCriterion2CurveDominance:
     def test_nonorthogonal_dominates_bb84_at_mu048(self, fig1_distances):
-        signal = synthesize_tallies(construct_intensity_set(0.48), GYS)[-1]
+        signal = synthesize_tallies(construct_intensity_set(0.48), GYS).row(-1)
         exact = exact_bounds(0.48, GYS)
         bb84_0 = rate_bb84_decoy(signal, exact, GYS.f_ec)
         nonorth_0 = rate_nonorthogonal_decoy(signal, exact, GYS.f_ec)

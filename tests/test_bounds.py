@@ -74,7 +74,10 @@ DARK = ChannelParams(0.21, 20.0, 0.045, 0.0, 0.033, 1.22)
 
 def with_vacuum(vacuum, params, s):
     """The honest tallies of ``params`` with ``vacuum`` in place of the vacuum class."""
-    return [vacuum, *synthesize_tallies(s, params)[1:]]
+    honest = synthesize_tallies(s, params)
+    return ObservedTally(
+        *(np.r_[getattr(vacuum, f), getattr(honest, f)[1:]] for f in ("intensity", "gain", "qber"))
+    )
 
 
 class TestEstimateBackground:
@@ -133,17 +136,50 @@ class TestBoundSinglePhoton:
     def test_vacuous_bound_clamped_and_flagged(self):
         # gains crafted so the nu2/nu3 difference goes negative
         s = balanced_set(0.30, nu3=0.05)
-        tallies = [
-            ObservedTally(0.0, 1e-6, 0.5),
-            ObservedTally(s.nu3, 2e-4, 0.1),
-            ObservedTally(s.nu2, 1e-4, 0.1),
-            ObservedTally(s.nu1, 3e-4, 0.1),
-            ObservedTally(s.mu, 4e-4, 0.1),
-        ]
+        tallies = ObservedTally(
+            np.array([0.0, s.nu3, s.nu2, s.nu1, s.mu]),
+            np.array([1e-6, 2e-4, 1e-4, 3e-4, 4e-4]),
+            np.array([0.5, 0.1, 0.1, 0.1, 0.1]),
+        )
         result = estimate_photon_bounds(tallies, s)
         assert result.y1_lower == 0.0
         assert result.q1_lower == 0.0
         assert any("vacuous" in flag for flag in result.flags)
+
+    def test_every_clamp_flag_in_order(self):
+        # one crafted column per clamp pattern: both bounds vacuous; Y1L > 1
+        # with e1U < 0 (E_nu3 = 0 against Y0 = 1/2); Y2L > 1 with e2U < 0; and
+        # positive Y1L and Y2L charged the whole nu3 error budget (E_nu3 = 1),
+        # so that e1U exceeds 1/2 and e2U exceeds 1
+        s = balanced_set(0.30, nu3=0.05)
+        tallies = ObservedTally(
+            np.array([0.0, s.nu3, s.nu2, s.nu1, s.mu]),
+            np.array(
+                [
+                    [0.0, 0.5, 0.5, 0.0],
+                    [0.5, 0.0, 0.0, 0.1],
+                    [0.1, 1.0, 0.0, 0.1],
+                    [0.1, 0.0, 1.0, 0.1],
+                    [0.9, 0.0, 0.0, 0.0],
+                ]
+            ),
+            np.array([[0.5] * 4, [0.1, 0.0, 0.0, 1.0], [0.1] * 4, [0.1] * 4, [0.1] * 4]),
+        )
+        result = estimate_photon_bounds(tallies, s)
+        assert result.flags == (
+            "single-photon bound vacuous (Y1L <= 0)",
+            "Y1L clamped to 1",
+            "e1U clamped to 1/2",
+            "e1U clamped to 0",
+            "two-photon bound vacuous (Y2L <= 0)",
+            "Y2L clamped to 1",
+            "e2U clamped to 1",
+            "e2U clamped to 0",
+        )
+        assert result.y1_lower[:2].tolist() == [0.0, 1.0]
+        assert result.e1_upper.tolist() == [0.5, 0.0, 0.0, 0.5]
+        assert result.y2_lower[:3].tolist() == [0.0, 0.0, 1.0]
+        assert result.e2_upper.tolist() == [1.0, 1.0, 0.0, 1.0]
 
     def test_gain_relation(self, gys):
         params = gys.at_distance(40)

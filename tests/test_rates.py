@@ -77,13 +77,13 @@ class TestRateBB84Decoy:
         s = construct_intensity_set(0.48)
         tallies = synthesize_tallies(s, gys.at_distance(0))
         bounds = estimate_photon_bounds(tallies, s)
-        assert rate_bb84_decoy(tallies[-1], bounds, gys.f_ec) > 0
+        assert rate_bb84_decoy(tallies.row(-1), bounds, gys.f_ec) > 0
 
     def test_formula_wiring(self, gys):
         s = construct_intensity_set(0.48)
         tallies = synthesize_tallies(s, gys.at_distance(40))
         bounds = estimate_photon_bounds(tallies, s)
-        signal = tallies[-1]
+        signal = tallies.row(-1)
         expected = 0.5 * (
             bounds.q1_lower * (1 - binary_entropy(min(bounds.e1_upper, 0.5)))
             - signal.gain * gys.f_ec * binary_entropy(signal.qber)
@@ -203,13 +203,13 @@ class TestRateNonorthogonalDecoy:
         s = construct_intensity_set(0.30)
         tallies = synthesize_tallies(s, gys.at_distance(0))
         bounds = estimate_photon_bounds(tallies, s)
-        assert rate_nonorthogonal_decoy(tallies[-1], bounds, gys.f_ec) > 0
+        assert rate_nonorthogonal_decoy(tallies.row(-1), bounds, gys.f_ec) > 0
 
     def test_formula_wiring(self, gys):
         s = construct_intensity_set(0.30)
         tallies = synthesize_tallies(s, gys.at_distance(60))
         bounds = estimate_photon_bounds(tallies, s)
-        signal = tallies[-1]
+        signal = tallies.row(-1)
         expected = 0.25 * (
             bounds.q0
             + bounds.q1_lower * (1 - binary_entropy(min(bounds.e1_upper, 0.5)))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -5,11 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
+import decoyqkd.sweeps
 from decoyqkd import (
     IntensityConstraintError,
     NeverSecureError,
     PROTOCOLS,
     ChannelParams,
+    ObservedTally,
     SweepSpec,
     balance_residual,
     construct_intensity_set,
@@ -52,6 +55,15 @@ class TestConstructIntensitySet:
     def test_default_nu3_valid_across_grid(self, mu):
         construct_intensity_set(mu)
 
+    @pytest.mark.parametrize(
+        "mu", [-0.3, math.nextafter(MAX_MU, math.inf), 150.0, 1e155, math.inf, math.nan]
+    )
+    def test_mu_outside_range_rejected_before_arithmetic(self, mu):
+        # 1e155 would overflow mu**2; 150 would pass the ordering constraints
+        with pytest.raises(IntensityConstraintError, match="mu must be > 0 and <= 100"):
+            construct_intensity_set(mu)
+        assert construct_intensity_set(MAX_MU).mu == MAX_MU
+
 
 class TestSweep:
     def test_degenerate_range_single_point(self, gys):
@@ -68,6 +80,30 @@ class TestSweep:
     def test_deterministic(self, gys):
         spec = SweepSpec("bb84-decoy", 0.0, 50.0, 5.0, 0.48, gys)
         assert sweep(spec) == sweep(spec)
+
+    @pytest.mark.parametrize(
+        "protocol,mu",
+        [
+            ("bb84-decoy", 0.48),
+            ("nonorthogonal-decoy", 0.30),
+            ("sarg04-no-decoy", 0.1),
+            ("sarg04-no-decoy", "optimal"),
+        ],
+    )
+    def test_points_are_the_elements_of_one_rate_at_call(self, gys, protocol, mu):
+        points = sweep(SweepSpec(protocol, 0.0, 300.0, 1.5, mu, gys))
+        grid = rate_at(protocol, mu, gys, 1.5 * np.arange(201))
+        assert [p.protocol for p in points] == [protocol] * 201
+        assert [p.distance_km for p in points] == grid.distance_km.tolist()
+        assert [p.mu for p in points] == grid.mu.tolist()
+        assert [p.rate for p in points] == grid.rate.tolist()
+        assert all(type(v) is float for p in points for v in (p.distance_km, p.mu, p.rate))
+
+    def test_points_support_dataclass_replace(self, gys):
+        point = sweep(SweepSpec("bb84-decoy", 0.0, 10.0, 5.0, 0.48, gys))[1]
+        moved = dataclasses.replace(point, rate=2.0 * point.rate)
+        assert (moved.protocol, moved.distance_km, moved.mu) == ("bb84-decoy", 5.0, 0.48)
+        assert moved.rate == 2.0 * point.rate != point.rate
 
     def test_optimal_mu_resolved_per_distance(self, gys):
         spec = SweepSpec("sarg04-no-decoy", 0.0, 60.0, 20.0, "optimal", gys)
@@ -204,3 +240,37 @@ class TestDistanceArrays:
             flags.update(point.flags)
         assert set(grid.flags) == flags
         assert "e1U clamped to 1/2" in flags and "e2U clamped to 1" in flags
+
+
+class TestCallCounts:
+    """The array pipeline's call structure, which per-distance loops would multiply."""
+
+    @staticmethod
+    def count(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("protocol", ["bb84-decoy", "nonorthogonal-decoy"])
+    def test_decoy_rate_at_builds_at_most_two_tallies(self, gys, monkeypatch, protocol):
+        # one stacked tally of the five classes, and its signal row
+        built = self.count(monkeypatch, ObservedTally, "__post_init__")
+        rate_at(protocol, 0.48, gys, np.arange(0.0, 251.0))
+        assert 1 <= len(built) <= 2
+
+    @pytest.mark.parametrize("mu", [0.1, "optimal"])
+    def test_sweep_is_one_rate_at_call(self, gys, monkeypatch, mu):
+        calls = self.count(monkeypatch, decoyqkd.sweeps, "rate_at")
+        sweep(SweepSpec("sarg04-no-decoy", 0.0, 250.0, 1.0, mu, gys))
+        assert len(calls) == 1
+
+    def test_cutoff_is_two_rate_at_calls(self, gys, monkeypatch):
+        calls = self.count(monkeypatch, decoyqkd.sweeps, "rate_at")
+        max_secure_distance("nonorthogonal-decoy", 0.30, gys)
+        assert len(calls) == 2
