@@ -10,7 +10,7 @@ Run with: python demos/channel_model.py
 
 import numpy as np
 
-from decoyqkd import GYS, honest_gain, honest_qber, transmittance
+from decoyqkd import GYS, honest_tally, transmittance
 
 MU = 0.48
 
@@ -22,9 +22,8 @@ print(f"{'d [km]':>7}  {'eta':>10}  {'gain Q':>10}  {'QBER E':>8}")
 for d in np.arange(0.0, 201.0, 20.0):
     params = GYS.at_distance(d)
     eta = transmittance(params)
-    q = honest_gain(MU, params)
-    e = honest_qber(MU, params)
-    print(f"{d:7.0f}  {eta:10.3e}  {q:10.3e}  {e:8.4f}")
+    signal = honest_tally(MU, params)
+    print(f"{d:7.0f}  {eta:10.3e}  {signal.gain:10.3e}  {signal.qber:8.4f}")
 
 print()
 print("The QBER crosses useful thresholds when the dark-count contribution")

@@ -21,8 +21,7 @@ from .channel import (
     ObservedTally,
     ParameterError,
     UndefinedQberError,
-    honest_gain,
-    honest_qber,
+    honest_tally,
     poisson_weight,
     synthesize_tallies,
     transmittance,

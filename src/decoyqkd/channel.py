@@ -2,10 +2,13 @@
 
 All observables used by the estimation and rate modules come from this
 model: a Poisson photon-number source, exponential fiber loss, a constant
-misalignment error, and random dark counts (error rate 1/2).
+misalignment error, and random dark counts (error rate 1/2). One function,
+``honest_tally``, turns intensities into gains and QBERs; the five pulse
+classes of ``synthesize_tallies`` are one call of it.
 
 The channel functions are elementwise in distance: ``distance_km`` may be
-an array, and every observable then has its shape.
+an array, and every observable then has its shape broadcast with the
+intensity's.
 """
 
 from __future__ import annotations
@@ -107,7 +110,9 @@ class ObservedTally:
     ``gain`` is the probability per sent pulse that Bob registers a
     detection; ``qber`` is the error fraction among those detections. Each
     field may be an array over distances, and every element is checked.
-    ``synthesize_tallies`` stacks the five classes; ``row`` takes one out.
+    ``synthesize_tallies`` stacks the five classes, with ``intensity`` their
+    (5, 1, ...) column, which broadcasts against the distances (a (5,)
+    vector at a scalar distance); ``row`` takes one class out.
     """
 
     intensity: float
@@ -152,55 +157,42 @@ def transmittance(params: ChannelParams) -> float:
     return params.eta_bob * np.power(10.0, -params.alpha_db_per_km * params.distance_km / 10.0)
 
 
-def honest_gain(intensity: float, params: ChannelParams) -> float:
-    """Gain of a pulse class in the absence of an eavesdropper.
+def honest_tally(intensity: float, params: ChannelParams) -> ObservedTally:
+    """Gain and QBER of a pulse class in the absence of an eavesdropper.
 
     Q = Y0 + 1 - e^(-eta * intensity)
-    """
-    return _gain(intensity, params, transmittance(params))
-
-
-def honest_qber(intensity: float, params: ChannelParams) -> float:
-    """QBER of a pulse class in the absence of an eavesdropper.
-
     E = [Y0/2 + e_det (1 - e^(-eta * intensity))] / Q
 
     Dark counts contribute at error rate 1/2; detected photons err with
-    probability e_det.
+    probability e_det. Elementwise in intensity and distance by
+    broadcasting. A vacuum class (intensity 0) has QBER 1/2 even at zero
+    gain; any other class with zero gain raises ``UndefinedQberError``.
     """
+    if not _holds(intensity >= 0):
+        raise ParameterError("intensity must be >= 0")
     eta = transmittance(params)
-    return _qber(intensity, params, eta, _gain(intensity, params, eta))
+    # expm1 keeps the vacuum limit exact: Y0 + (1 - e^0) must be Y0, not
+    # the round-off of (Y0 + 1) - 1
+    gain = np.minimum(params.y0 - np.expm1(-eta * intensity), 1.0)
+    # the vacuum's QBER is that of the dark counts, 1/2, even at zero gain
+    sent = np.not_equal(intensity, 0)
+    if np.count_nonzero((gain <= 0) & sent):
+        raise UndefinedQberError("QBER is undefined at zero gain")
+    numerator = E_VACUUM * params.y0 + params.e_det * (1.0 - np.exp(-eta * intensity))
+    qber = np.divide(numerator, gain, out=np.full(np.shape(gain), E_VACUUM), where=sent)
+    return ObservedTally(intensity, gain, qber[()])
 
 
 def synthesize_tallies(intensities: IntensitySet, params: ChannelParams) -> ObservedTally:
     """Honest-channel observables for vacuum, the three decoys, and the signal.
 
-    One tally with the five pulse classes on axis 0, in ascending intensity:
-    vacuum, nu3, nu2, nu1, mu. ``intensity`` holds the five intensities, and
-    each row of ``gain`` and ``qber`` has the shape of the distance.
+    One ``honest_tally`` with the five pulse classes on axis 0, in ascending
+    intensity: vacuum, nu3, nu2, nu1, mu. ``intensity`` is their column, of
+    shape (5, 1, ...) with one 1 per distance axis (so (5,) at a scalar
+    distance), and each row of ``gain`` and ``qber`` has the shape of the
+    distance.
     """
-    eta = transmittance(params)
     s = intensities
     intensity = np.array([0.0, s.nu3, s.nu2, s.nu1, s.mu])
     # one column per class, broadcast against the distances
-    column = intensity.reshape((5,) + (1,) * np.ndim(eta))
-    gain = _gain(column, params, eta)
-    qber = np.empty_like(gain)
-    # dark counts are random; the vacuum gain may be 0, where _qber is undefined
-    qber[0] = E_VACUUM
-    qber[1:] = _qber(column[1:], params, eta, gain[1:])
-    return ObservedTally(intensity, gain, qber)
-
-
-def _gain(intensity: float, params: ChannelParams, eta: float) -> float:
-    if not _holds(intensity >= 0):
-        raise ParameterError("intensity must be >= 0")
-    # expm1 keeps the vacuum limit exact: Y0 + (1 - e^0) must be Y0, not
-    # the round-off of (Y0 + 1) - 1
-    return np.minimum(params.y0 - np.expm1(-eta * intensity), 1.0)
-
-
-def _qber(intensity: float, params: ChannelParams, eta: float, gain: float) -> float:
-    if np.count_nonzero(gain <= 0):
-        raise UndefinedQberError("QBER is undefined at zero gain")
-    return (E_VACUUM * params.y0 + params.e_det * (1.0 - np.exp(-eta * intensity))) / gain
+    return honest_tally(intensity.reshape((5,) + (1,) * np.ndim(params.distance_km)), params)

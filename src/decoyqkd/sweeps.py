@@ -17,11 +17,7 @@ from .bounds import IntensityConstraintError, estimate_photon_bounds, validate_i
 from .channel import (
     ChannelParams,
     IntensitySet,
-    ObservedTally,
-    _gain,
-    _qber,
-    honest_gain,
-    honest_qber,
+    honest_tally,
     synthesize_tallies,
     transmittance,
 )
@@ -155,14 +151,12 @@ def rate_at(
     distances = np.atleast_1d(np.asarray(distance_km, dtype=float))
     params = channel.at_distance(distances)
     if protocol == PROTOCOL_SARG04_NO_DECOY:
-        # honest_gain and honest_qber, sharing one transmittance and one gain
-        eta = transmittance(params)
         if mu == OPTIMAL_MU:
             # where the transmittance underflows to 0 no signal arrives: send none
+            eta = transmittance(params)
             arrives = eta > 0
             mu = np.where(arrives, optimal_mu_sarg04(np.where(arrives, eta, 1.0)), 0.0)
-        gain = _gain(mu, params, eta)
-        signal = ObservedTally(mu, gain, _qber(mu, params, eta, gain))
+        signal = honest_tally(mu, params)
         q0 = params.y0 * np.exp(-mu)
         rate = rate_sarg04_worst(signal, q0, untagged_fraction(signal, mu))
     else:
@@ -230,7 +224,6 @@ def exact_ceiling_km(protocol: str, mu: float, channel: ChannelParams) -> float:
 
     def rates(distances):
         params = channel.at_distance(distances)
-        signal = ObservedTally(mu, honest_gain(mu, params), honest_qber(mu, params))
-        return _DECOY_RATE[protocol](signal, exact_bounds(mu, params), params.f_ec)
+        return _DECOY_RATE[protocol](honest_tally(mu, params), exact_bounds(mu, params), params.f_ec)
 
     return _cutoff_km(protocol, rates)

@@ -28,8 +28,7 @@ from decoyqkd import (
     estimate_photon_bounds,
     exact_bounds,
     exact_ceiling_km,
-    honest_gain,
-    honest_qber,
+    honest_tally,
     max_secure_distance,
     optimal_mu_sarg04,
     rate_at,
@@ -213,11 +212,8 @@ class TestCriterion6OracleConsistency:
         worst = 0.0
         for mu in MU_GRID:
             gain, qber = reconstruct_gain(mu, GYS_GRID)
-            worst = max(
-                worst,
-                np.abs(gain - honest_gain(mu, GYS_GRID)).max(),
-                np.abs(qber - honest_qber(mu, GYS_GRID)).max(),
-            )
+            honest = honest_tally(mu, GYS_GRID)
+            worst = max(worst, np.abs(gain - honest.gain).max(), np.abs(qber - honest.qber).max())
         check("criterion 6: series vs closed form", worst < 1e-9, f"max |difference| {worst:.2e}")
 
 

@@ -8,8 +8,7 @@ from decoyqkd import (
     IntensitySet,
     ParameterError,
     UndefinedQberError,
-    honest_gain,
-    honest_qber,
+    honest_tally,
     poisson_weight,
     synthesize_tallies,
     transmittance,
@@ -78,47 +77,67 @@ class TestTransmittance:
 
 class TestHonestGain:
     def test_vacuum_gives_background(self, gys):
-        assert honest_gain(0.0, gys) == gys.y0
+        assert honest_tally(0.0, gys).gain == gys.y0
 
     def test_direct_evaluation_at_zero_distance(self, gys):
         expected = 1.7e-6 + 1 - math.exp(-0.045 * 0.48)
-        assert honest_gain(0.48, gys.at_distance(0)) == pytest.approx(expected, rel=1e-15)
+        assert honest_tally(0.48, gys.at_distance(0)).gain == pytest.approx(expected, rel=1e-15)
 
     def test_opaque_channel(self, gys):
-        assert honest_gain(0.48, gys.at_distance(3000)) == pytest.approx(gys.y0, rel=1e-9)
+        assert honest_tally(0.48, gys.at_distance(3000)).gain == pytest.approx(gys.y0, rel=1e-9)
 
     def test_monotone_in_intensity(self, gys):
         params = gys.at_distance(50)
-        gains = [honest_gain(mu, params) for mu in (0.01, 0.1, 0.3, 0.5, 1.0)]
+        gains = [honest_tally(mu, params).gain for mu in (0.01, 0.1, 0.3, 0.5, 1.0)]
         assert all(a < b for a, b in zip(gains, gains[1:]))
 
 
 class TestHonestQber:
     def test_vacuum_is_random(self, gys):
-        assert honest_qber(0.0, gys) == pytest.approx(0.5, abs=1e-12)
+        assert honest_tally(0.0, gys).qber == pytest.approx(0.5, abs=1e-12)
 
     def test_signal_dominated_limit(self, gys):
         # strong signal at zero distance: dark counts negligible
-        assert honest_qber(5.0, gys.at_distance(0)) == pytest.approx(gys.e_det, rel=1e-3)
+        assert honest_tally(5.0, gys.at_distance(0)).qber == pytest.approx(gys.e_det, rel=1e-3)
 
     def test_direct_evaluation(self, gys):
         params = gys.at_distance(100)
         eta = transmittance(params)
-        expected = (0.5 * params.y0 + params.e_det * (1 - math.exp(-eta * 0.48))) / honest_gain(
-            0.48, params
-        )
-        assert honest_qber(0.48, params) == pytest.approx(expected, rel=1e-15)
+        tally = honest_tally(0.48, params)
+        expected = (0.5 * params.y0 + params.e_det * (1 - math.exp(-eta * 0.48))) / tally.gain
+        assert tally.qber == pytest.approx(expected, rel=1e-15)
 
     def test_bounded_between_edet_and_half(self, gys):
         for d in range(0, 301, 25):
             for mu in (0.05, 0.3, 0.6):
-                e = honest_qber(mu, gys.at_distance(d))
+                e = honest_tally(mu, gys.at_distance(d)).qber
                 assert gys.e_det * (1 - 1e-12) <= e <= 0.5
 
     def test_zero_gain_raises(self):
-        params = ChannelParams(0.21, 10.0, 0.045, 0.0, 0.033, 1.22)
+        # no dark counts, and the transmittance underflows to 0
+        params = ChannelParams(4.0, 1000.0, 0.045, 0.0, 0.033, 1.22)
         with pytest.raises(UndefinedQberError):
-            honest_qber(0.0, params)
+            honest_tally(0.3, params)
+
+    def test_vacuum_at_zero_gain_is_random(self):
+        tally = honest_tally(0.0, ChannelParams(0.21, 10.0, 0.045, 0.0, 0.033, 1.22))
+        assert tally.gain == 0.0
+        assert tally.qber == 0.5
+
+
+class TestHonestTally:
+    def test_intensities_against_distances_equal_scalar_calls(self, gys):
+        # as for the per-distance optimal SARG04 intensity
+        distances = np.arange(0.0, 401.0, 20.0)
+        intensities = np.linspace(0.01, 0.6, distances.size)
+        grid = honest_tally(intensities, gys.at_distance(distances))
+        points = [honest_tally(float(m), gys.at_distance(float(d))) for m, d in zip(intensities, distances)]
+        assert grid.gain.tolist() == [p.gain for p in points]
+        assert grid.qber.tolist() == [p.qber for p in points]
+
+    def test_negative_intensity_rejected(self, gys):
+        with pytest.raises(ParameterError):
+            honest_tally(-0.1, gys)
 
 
 class TestSynthesizeTallies:
@@ -141,9 +160,10 @@ class TestSynthesizeTallies:
         params = gys.at_distance(50)
         s = IntensitySet(mu=0.48, nu1=0.36, nu2=0.185, nu3=0.05)
         tallies = synthesize_tallies(s, params)
-        for tally in map(tallies.row, range(1, 5)):
-            assert tally.gain == honest_gain(tally.intensity, params)
-            assert tally.qber == honest_qber(tally.intensity, params)
+        for tally in map(tallies.row, range(5)):
+            honest = honest_tally(tally.intensity, params)
+            assert tally.gain == honest.gain
+            assert tally.qber == honest.qber
 
     def test_deterministic(self, gys):
         s = IntensitySet(mu=0.3, nu1=0.225, nu2=0.1156, nu3=0.01)

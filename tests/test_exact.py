@@ -7,8 +7,7 @@ from decoyqkd import (
     ChannelParams,
     exact_bounds,
     exact_stats,
-    honest_gain,
-    honest_qber,
+    honest_tally,
     poisson_weight,
     reconstruct_gain,
     transmittance,
@@ -74,8 +73,9 @@ class TestReconstructGain:
     def test_matches_closed_form(self, gys, distance, mu):
         params = gys.at_distance(distance)
         gain, qber = reconstruct_gain(mu, params)
-        assert gain == pytest.approx(honest_gain(mu, params), abs=1e-9)
-        assert qber == pytest.approx(honest_qber(mu, params), abs=1e-9)
+        honest = honest_tally(mu, params)
+        assert gain == pytest.approx(honest.gain, abs=1e-9)
+        assert qber == pytest.approx(honest.qber, abs=1e-9)
 
     def test_truncation_insensitive(self, gys):
         params = gys.at_distance(50)
@@ -88,12 +88,12 @@ class TestReconstructGain:
         params = gys.at_distance(75)
         mu = 0.48
         total = sum(exact_stats(n, mu, params).gain for n in range(51))
-        assert total == pytest.approx(honest_gain(mu, params), abs=1e-12)
+        assert total == pytest.approx(honest_tally(mu, params).gain, abs=1e-12)
 
     def test_zero_background_channel(self):
         params = ChannelParams(0.21, 30.0, 0.045, 0.0, 0.033, 1.22)
         gain, qber = reconstruct_gain(0.3, params)
-        assert gain == pytest.approx(honest_gain(0.3, params), abs=1e-12)
+        assert gain == pytest.approx(honest_tally(0.3, params).gain, abs=1e-12)
         assert qber == pytest.approx(0.033, rel=1e-9)
 
 

@@ -10,8 +10,7 @@ from decoyqkd import (
     binary_entropy,
     bisect_root,
     estimate_photon_bounds,
-    honest_gain,
-    honest_qber,
+    honest_tally,
     optimal_mu_sarg04,
     rate_bb84_decoy,
     rate_nonorthogonal_decoy,
@@ -95,7 +94,7 @@ class TestUntaggedFraction:
     def test_in_unit_interval_at_zero_distance(self, gys):
         eta = transmittance(gys.at_distance(0))
         mu = math.sqrt(2 * eta)
-        signal = ObservedTally(mu, honest_gain(mu, gys), honest_qber(mu, gys))
+        signal = honest_tally(mu, gys)
         omega = untagged_fraction(signal, mu)
         assert 0 < omega < 1
 
@@ -104,7 +103,7 @@ class TestUntaggedFraction:
         # probability stays fixed
         params = gys.at_distance(300)
         mu = 0.3
-        signal = ObservedTally(mu, honest_gain(mu, params), honest_qber(mu, params))
+        signal = honest_tally(mu, params)
         assert untagged_fraction(signal, mu) < 0
 
     def test_boundary_when_gain_equals_tagged_probability(self):

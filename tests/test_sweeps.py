@@ -189,12 +189,12 @@ class TestMaxSecureDistance:
         # quantity that controls the cutoff distance
         import math
 
-        from decoyqkd import ObservedTally, honest_gain, honest_qber, untagged_fraction
+        from decoyqkd import honest_tally, untagged_fraction
 
         params = gys.at_distance(50.0)
 
         def untagged_mass(mu):
-            signal = ObservedTally(mu, honest_gain(mu, params), honest_qber(mu, params))
+            signal = honest_tally(mu, params)
             return untagged_fraction(signal, mu) * signal.gain
 
         best = untagged_mass(rate_at("sarg04-no-decoy", "optimal", gys, 50.0).mu)
@@ -263,6 +263,12 @@ class TestCallCounts:
         built = self.count(monkeypatch, ObservedTally, "__post_init__")
         rate_at(protocol, 0.48, gys, np.arange(0.0, 251.0))
         assert 1 <= len(built) <= 2
+
+    @pytest.mark.parametrize("mu", [0.1, "optimal"])
+    def test_sarg04_rate_at_builds_one_tally(self, gys, monkeypatch, mu):
+        built = self.count(monkeypatch, ObservedTally, "__post_init__")
+        rate_at("sarg04-no-decoy", mu, gys, np.arange(0.0, 251.0))
+        assert len(built) == 1
 
     @pytest.mark.parametrize("mu", [0.1, "optimal"])
     def test_sweep_is_one_rate_at_call(self, gys, monkeypatch, mu):
