@@ -171,14 +171,15 @@ def honest_tally(intensity: float, params: ChannelParams) -> ObservedTally:
     if not _holds(intensity >= 0):
         raise ParameterError("intensity must be >= 0")
     eta = transmittance(params)
-    # expm1 keeps the vacuum limit exact: Y0 + (1 - e^0) must be Y0, not
-    # the round-off of (Y0 + 1) - 1
-    gain = np.minimum(params.y0 - np.expm1(-eta * intensity), 1.0)
+    # 1 - e^(-eta * intensity) by expm1: exact at the vacuum (Y0 + 0 is Y0),
+    # and no cancellation to 0 where eta * intensity is below about 1e-16
+    hit = -np.expm1(-eta * intensity)
+    gain = np.minimum(params.y0 + hit, 1.0)
     # the vacuum's QBER is that of the dark counts, 1/2, even at zero gain
     sent = np.not_equal(intensity, 0)
     if np.count_nonzero((gain <= 0) & sent):
         raise UndefinedQberError("QBER is undefined at zero gain")
-    numerator = E_VACUUM * params.y0 + params.e_det * (1.0 - np.exp(-eta * intensity))
+    numerator = E_VACUUM * params.y0 + params.e_det * hit
     qber = np.divide(numerator, gain, out=np.full(np.shape(gain), E_VACUUM), where=sent)
     return ObservedTally(intensity, gain, qber[()])
 

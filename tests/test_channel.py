@@ -107,6 +107,11 @@ class TestHonestQber:
         expected = (0.5 * params.y0 + params.e_det * (1 - math.exp(-eta * 0.48))) / tally.gain
         assert tally.qber == pytest.approx(expected, rel=1e-15)
 
+    def test_no_cancellation_on_a_dark_free_link(self):
+        # eta * intensity is about 1e-18 here, where 1 - e^(-x) rounds to 0
+        params = ChannelParams(0.35, 450, 0.045, 0.0, 0.033, 1.22)
+        assert honest_tally(0.48, params).qber == pytest.approx(0.033, rel=1e-12)
+
     def test_bounded_between_edet_and_half(self, gys):
         for d in range(0, 301, 25):
             for mu in (0.05, 0.3, 0.6):
