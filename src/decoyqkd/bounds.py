@@ -150,7 +150,9 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
     """Vacuum, single-photon and two-photon bounds from the five observed
     pulse classes, stacked on axis 0 in the order vacuum, nu3, nu2, nu1, mu
     (as ``synthesize_tallies`` returns them), for an intensity set that
-    passes ``validate_intensities``.
+    passes ``validate_intensities``. The tally's five class intensities must
+    be exactly (0, nu3, nu2, nu1, mu) of that set, or a ``ValueError`` names
+    both: tallies of one set estimated with another give wrong bounds.
 
     Y0 is the vacuum gain. The vacuum error rate e0 is taken to be 1/2
     regardless of the observed value, because dark counts are random, and
@@ -178,10 +180,12 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
     like 1/nu3^2 as nu3 shrinks.
     """
     s = validate_intensities(intensities)
-    vacuum_intensity = tallies.intensity[0]
-    if vacuum_intensity != 0:
+    expected = [0.0, s.nu3, s.nu2, s.nu1, s.mu]
+    observed = np.ravel(tallies.intensity).tolist()
+    if observed != expected:
         raise ValueError(
-            f"background must be estimated from the vacuum class, got intensity {vacuum_intensity}"
+            f"tally intensities {observed} do not match the set's vacuum, nu3, nu2, nu1, mu "
+            f"{expected}"
         )
     y0, q_nu3, q_nu2, q_nu1, q_mu = tallies.gain
     e_nu3, e0 = tallies.qber[1], E_VACUUM

@@ -9,6 +9,7 @@ from decoyqkd import (
     IntensitySet,
     ObservedTally,
     balance_residual,
+    construct_intensity_set,
     estimate_photon_bounds,
     exact_stats,
     synthesize_tallies,
@@ -108,6 +109,12 @@ class TestEstimateBackground:
         s = balanced_set(0.48)
         with pytest.raises(ValueError, match="vacuum"):
             estimate_photon_bounds(with_vacuum(ObservedTally(0.05, 1e-3, 0.1), gys, s), s)
+
+    def test_tallies_of_another_set_rejected(self, gys):
+        # honest tallies of mu = 0.30 would give Y1L = 0.00221 against an exact Y1 of 0.00401
+        tallies = synthesize_tallies(construct_intensity_set(0.30), gys.at_distance(50))
+        with pytest.raises(ValueError, match="do not match"):
+            estimate_photon_bounds(tallies, construct_intensity_set(0.48))
 
 
 class TestBoundSinglePhoton:
