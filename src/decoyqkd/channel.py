@@ -176,7 +176,7 @@ def honest_tally(intensity: float, params: ChannelParams) -> ObservedTally:
     hit = -np.expm1(-eta * intensity)
     gain = np.minimum(params.y0 + hit, 1.0)
     # the vacuum's QBER is that of the dark counts, 1/2, even at zero gain
-    sent = np.not_equal(intensity, 0)
+    sent = intensity != 0
     if np.count_nonzero((gain <= 0) & sent):
         raise UndefinedQberError("QBER is undefined at zero gain")
     numerator = E_VACUUM * params.y0 + params.e_det * hit
