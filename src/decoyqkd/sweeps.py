@@ -224,6 +224,7 @@ def exact_ceiling_km(protocol: str, mu: float, channel: ChannelParams) -> float:
 
     def rates(distances):
         params = channel.at_distance(distances)
-        return _DECOY_RATE[protocol](honest_tally(mu, params), exact_bounds(mu, params), params.f_ec)
+        signal = honest_tally(mu, params)
+        return _DECOY_RATE[protocol](signal, exact_bounds(mu, params), params.f_ec)
 
     return _cutoff_km(protocol, rates)

@@ -108,7 +108,7 @@ class TestHonestQber:
         assert tally.qber == pytest.approx(expected, rel=1e-15)
 
     def test_no_cancellation_on_a_dark_free_link(self):
-        # eta * intensity is about 1e-18 here, where 1 - e^(-x) rounds to 0
+        # eta * intensity is about 4e-18 here, where 1 - e^(-x) rounds to 0
         params = ChannelParams(0.35, 450, 0.045, 0.0, 0.033, 1.22)
         assert honest_tally(0.48, params).qber == pytest.approx(0.033, rel=1e-12)
 
@@ -136,7 +136,9 @@ class TestHonestTally:
         distances = np.arange(0.0, 401.0, 20.0)
         intensities = np.linspace(0.01, 0.6, distances.size)
         grid = honest_tally(intensities, gys.at_distance(distances))
-        points = [honest_tally(float(m), gys.at_distance(float(d))) for m, d in zip(intensities, distances)]
+        points = [
+            honest_tally(float(m), gys.at_distance(float(d))) for m, d in zip(intensities, distances)
+        ]
         assert grid.gain.tolist() == [p.gain for p in points]
         assert grid.qber.tolist() == [p.qber for p in points]
 
