@@ -76,6 +76,10 @@ def rate_bb84_decoy(signal_tally: ObservedTally, bounds: PhotonBounds, f_ec: flo
     return SIFTING[PROTOCOL_BB84_DECOY] * (gain - cost)
 
 
+#: untagged_fraction takes the tagged probability from its series below this mu.
+_SERIES_MU = 1e-5
+
+
 def untagged_fraction(signal_tally: ObservedTally, mu: float) -> float:
     """Worst-case fraction of detections from pulses with at most two photons.
 
@@ -86,10 +90,20 @@ def untagged_fraction(signal_tally: ObservedTally, mu: float) -> float:
 
     Omega can go negative under heavy loss, in which case no detection can
     be attributed to an untagged pulse.
+
+    Below mu = 1e-5 the tagged probability, about mu^3/6, cancels to
+    round-off in that form, so it is taken from the series
+    e^(-mu) mu^3/6 (1 + mu/4 + mu^2/20), whose first omitted term is
+    mu^3/120 of it.
     """
     if np.count_nonzero(signal_tally.gain <= 0):
         raise ValueError("untagged fraction is undefined at zero gain")
-    tagged = 1.0 - (1.0 + mu + mu**2 / 2.0) * np.exp(-mu)
+    decay = np.exp(-mu)
+    tagged = np.where(
+        mu < _SERIES_MU,
+        decay * mu**3 / 6.0 * (1.0 + mu / 4.0 + mu**2 / 20.0),
+        1.0 - (1.0 + mu + mu**2 / 2.0) * decay,
+    )
     return 1.0 - tagged / signal_tally.gain
 
 

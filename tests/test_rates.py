@@ -122,6 +122,20 @@ class TestUntaggedFraction:
         with pytest.raises(ValueError):
             untagged_fraction(ObservedTally(0.3, 0.0, 0.0), 0.3)
 
+    def test_weak_source_against_mpmath(self):
+        # 1 - (1 + mu + mu^2/2) e^(-mu) cancels to round-off here; the gain is
+        # that of a dark-free link at the optimal mu = sqrt(2 eta), about mu^3/2
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        mu = 1e-7
+        gain = mu**3 / 2
+        m = mpmath.mpf(mu)
+        tagged = 1 - (1 + m + m**2 / 2) * mpmath.exp(-m)
+        expected = float(1 - tagged / mpmath.mpf(gain))
+        assert untagged_fraction(ObservedTally(mu, gain, 0.1), mu) == pytest.approx(
+            expected, rel=1e-12
+        )
+
 
 class TestRateSarg04Worst:
     def test_untagged_term_dropped_when_omega_nonpositive(self):
