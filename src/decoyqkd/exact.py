@@ -40,15 +40,19 @@ def exact_stats(n: int, mu: float, params: ChannelParams) -> ExactPhotonStats:
     if n < 0:
         raise ParameterError("photon number must be >= 0")
     eta = transmittance(params)
-    # np.power: ** on a number can round differently from the array loop
-    hit = 1.0 - np.power(1.0 - eta, n)
+    # 1 - (1 - eta)^n without its cancellation to 0 below eta ~ 1e-16;
+    # at eta = 1, log1p gives -inf and the hit is exactly 1
+    with np.errstate(divide="ignore"):
+        hit = -np.expm1(n * np.log1p(-eta)) if n else np.zeros(np.shape(eta))
     y_raw = params.y0 + hit
-    if n == 0:
-        error_rate = np.full(np.shape(y_raw), E_VACUUM)[()]
-    else:
-        error_rate = (E_VACUUM * params.y0 + params.e_det * hit) / y_raw
+    # where no detection is possible, the error rate is that of a guess, 1/2
+    detected = (y_raw > 0) & (n != 0)
+    numerator = E_VACUUM * params.y0 + params.e_det * hit
+    error_rate = np.divide(numerator, y_raw, out=np.full(np.shape(y_raw), E_VACUUM), where=detected)
     detection_yield = np.minimum(y_raw, 1.0)
-    return ExactPhotonStats(detection_yield, error_rate, detection_yield * poisson_weight(mu, n))
+    return ExactPhotonStats(
+        detection_yield, error_rate[()], detection_yield * poisson_weight(mu, n)
+    )
 
 
 def exact_bounds(mu: float, params: ChannelParams) -> PhotonBounds:

@@ -51,6 +51,30 @@ class TestExactStats:
             stats.detection_yield * poisson_weight(0.48, 3), rel=1e-14
         )
 
+    def test_no_detection_possible_is_a_guess(self):
+        # at 1000 km and 4 dB/km the transmittance underflows to 0; without dark
+        # counts no n-photon pulse is ever detected, and the error rate is 1/2
+        params = ChannelParams(4.0, 1000.0, 0.045, 0.0, 0.033, 1.22)
+        for n in (0, 1, 2):
+            stats = exact_stats(n, 0.3, params)
+            assert (stats.detection_yield, stats.error_rate, stats.gain) == (0.0, 0.5, 0.0)
+
+    def test_hit_exact_for_tiny_transmittance(self):
+        # 1 - (1 - eta)^n cancels to 0 below eta ~ 1e-16; n eta is the answer there
+        params = ChannelParams(0.21, 900.0, 0.045, 0.0, 0.033, 1.22)
+        eta = transmittance(params)
+        for n in (1, 2, 5):
+            stats = exact_stats(n, 0.3, params)
+            assert stats.detection_yield == pytest.approx(n * eta, rel=1e-14)
+            assert stats.error_rate == pytest.approx(0.033, rel=1e-14)
+
+    def test_lossless_link_detects_every_photon(self):
+        params = ChannelParams(0.21, 0.0, 1.0, 0.0, 0.033, 1.22)
+        assert exact_stats(0, 0.3, params).error_rate == 0.5
+        for n in (1, 2):
+            stats = exact_stats(n, 0.3, params)
+            assert (stats.detection_yield, stats.error_rate) == (1.0, 0.033)
+
     def test_distance_array_equals_scalar_calls(self, gys):
         distances = np.arange(0.0, 251.0)
         oracles = [lambda p, n=n: exact_stats(n, 0.3, p) for n in range(4)]
