@@ -49,6 +49,7 @@ from .sweeps import (
     DEFAULT_NU3,
     OPTIMAL_MU,
     NeverSecureError,
+    ScanLimitError,
     SweepSpec,
     construct_intensity_set,
     exact_ceiling_km,

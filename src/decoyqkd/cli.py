@@ -28,6 +28,8 @@ from .sweeps import (
     DEFAULT_NU3,
     NeverSecureError,
     OPTIMAL_MU,
+    SCAN_LIMIT_KM,
+    ScanLimitError,
     SweepSpec,
     max_secure_distance,
     sweep,
@@ -181,6 +183,11 @@ def run(specs: list[SweepSpec], out: Path) -> int:
             print(f"{protocol} (mu={mu_label}): max secure distance {cutoff:.1f} km -> {csv_path}")
         except NeverSecureError:
             print(f"{protocol} (mu={mu_label}): never secure -> {csv_path}")
+        except ScanLimitError:
+            print(
+                f"{protocol} (mu={mu_label}): secure beyond the {SCAN_LIMIT_KM:g} km scan limit"
+                f" -> {csv_path}"
+            )
     return EXIT_OK
 
 

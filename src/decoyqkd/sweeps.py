@@ -80,6 +80,10 @@ class NeverSecureError(ValueError):
     """The requested protocol has no positive rate even at zero distance."""
 
 
+class ScanLimitError(ValueError):
+    """The requested protocol's rate is still positive at SCAN_LIMIT_KM."""
+
+
 def construct_intensity_set(mu: float, nu3: float = DEFAULT_NU3) -> IntensitySet:
     """Build a valid intensity set for a given signal intensity.
 
@@ -212,7 +216,7 @@ def _cutoff_km(protocol: str, rates: Callable[[np.ndarray], np.ndarray]) -> floa
         raise NeverSecureError(f"{protocol} has no positive rate even at zero distance")
     end = int(np.argmin(secure))
     if secure[end]:
-        raise ValueError(f"rate still positive at the {grid[-1]} km scan limit")
+        raise ScanLimitError(f"rate still positive at the {grid[-1]} km scan limit")
 
     steps = 2 ** math.ceil(math.log2(COARSE_STEP_KM / RESOLUTION_KM))
     lattice = grid[end - 1] + np.arange(steps + 1) * (COARSE_STEP_KM / steps)

@@ -180,9 +180,8 @@ class TestRun:
         assert run_cli(["--distance", "0-100-1"]) == EXIT_CONFIG
         assert run_cli(["--protocol", "b92"]) == EXIT_CONFIG
         # non-finite values, a sweep too large to allocate, too large an intensity,
-        # and links without dark counts that the model cannot evaluate: still
-        # secure at the scan limit, and a zero gain (so no QBER) where the
-        # transmittance underflows
+        # and a link without dark counts that the model cannot evaluate: a zero
+        # gain (so no QBER) where the transmittance underflows
         for args in (
             ["--fec", "nan"],
             ["--alpha", "nan"],
@@ -190,7 +189,6 @@ class TestRun:
             ["--distance", "0:10:nan"],
             ["--distance", "0:inf:1"],
             ["--distance", "0:1e9:1e-3"],
-            ["--y0", "0", "--protocol", "bb84-decoy", "--distance", "0:10:5"],
             ["--y0", "0", "--alpha", "4", "--protocol", "bb84-decoy"],
             # intensities past MAX_MU, where e^mu and mu^2 overflow
             ["--protocol", "bb84-decoy", "--mu", "800"],
@@ -200,6 +198,23 @@ class TestRun:
             capsys.readouterr()
             assert run_cli(args + ["--out", str(tmp_path)]) == EXIT_CONFIG, args
             assert "error:" in capsys.readouterr().err, args
+
+    def test_secure_beyond_scan_limit_reported_per_protocol(self, tmp_path, capsys):
+        # without dark counts both decoy rates stay positive to the 1000 km scan
+        # limit; that is reported and the run goes on to the next protocol
+        args = ["--y0", "0", "--alpha", "2", "--protocol", "all", "--out", str(tmp_path)]
+        assert run_cli(args) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        for protocol, line in zip(PROTOCOLS, lines):
+            csv = tmp_path / f"{protocol}.csv"
+            assert csv.exists()
+            assert line.startswith(f"{protocol} (mu=") and line.endswith(f" -> {csv}")
+            if protocol != "sarg04-no-decoy":
+                assert "): secure beyond the 1000 km scan limit -> " in line
+        args = ["--y0", "0", "--protocol", "bb84-decoy", "--distance", "0:10:5"]
+        assert run_cli(args + ["--out", str(tmp_path)]) == EXIT_OK
+        assert "secure beyond the 1000 km scan limit" in capsys.readouterr().out
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
