@@ -210,3 +210,9 @@ def test_channel_params_invariants(field, value):
     kwargs[field] = value
     with pytest.raises(ParameterError):
         ChannelParams(**kwargs)
+
+
+@pytest.mark.parametrize("distance", [math.nan, -1.0, np.array([10.0, math.nan])])
+def test_at_distance_rejects_a_bad_distance(gys, distance):
+    with pytest.raises(ParameterError, match=r"^distance_km must be finite and >= 0$"):
+        gys.at_distance(distance)

@@ -23,7 +23,14 @@ from decoyqkd import (
     sweep,
     synthesize_tallies,
 )
-from decoyqkd.sweeps import MAX_MU, MAX_SWEEP_POINTS
+from decoyqkd.sweeps import (
+    COARSE_STEP_KM,
+    MAX_MU,
+    MAX_SWEEP_POINTS,
+    RESOLUTION_KM,
+    SCAN_LIMIT_KM,
+    ScanLimitError,
+)
 
 
 class TestConstructIntensitySet:
@@ -183,6 +190,17 @@ class TestMaxSecureDistance:
         with pytest.raises(NeverSecureError):
             max_secure_distance("nonorthogonal-decoy", 0.30, noisy)
 
+    @pytest.mark.parametrize(
+        "protocol,mu",
+        [("bb84-decoy", 0.48), ("nonorthogonal-decoy", 0.48), ("sarg04-no-decoy", "optimal")],
+    )
+    def test_points_past_the_first_insecure_one_are_not_evaluated(self, protocol, mu):
+        # past about 805 km the transmittance underflows and the QBER is
+        # undefined, but the rate is already not positive at 0 km
+        noisy = ChannelParams(4.0, 0.0, 0.045, 0.0, 0.45, 1.22)
+        with pytest.raises(NeverSecureError):
+            max_secure_distance(protocol, mu, noisy)
+
     def test_sarg04_optimal_mu_maximizes_untagged_mass(self, gys):
         # the stationarity condition defining the per-distance mu picks the
         # maximum of the untagged detection probability omega * Q_mu, the
@@ -280,3 +298,95 @@ class TestCallCounts:
         calls = self.count(monkeypatch, decoyqkd.sweeps, "rate_at")
         max_secure_distance("nonorthogonal-decoy", 0.30, gys)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "protocol,mu,cutoff",
+        [
+            ("bb84-decoy", 0.48, 413.55),
+            ("nonorthogonal-decoy", 0.48, 422.70),
+            ("sarg04-no-decoy", "optimal", 297.07),
+        ],
+    )
+    def test_cutoff_past_the_first_scan_is_three_rate_at_calls(
+        self, monkeypatch, protocol, mu, cutoff
+    ):
+        calls = self.count(monkeypatch, decoyqkd.sweeps, "rate_at")
+        low_loss = ChannelParams(0.16, 0.0, 0.5, 1e-8, 0.005, 1.0)
+        assert round(max_secure_distance(protocol, mu, low_loss), 2) == cutoff
+        assert len(calls) == 3
+
+
+def full_grid_cutoff_km(protocol, rates):
+    """The cutoff search with its whole coarse grid evaluated in one call: the
+    windowed scan's reference."""
+    grid = np.arange(0.0, SCAN_LIMIT_KM + COARSE_STEP_KM, COARSE_STEP_KM)
+    secure = rates(grid) > 0
+    if not secure[0]:
+        raise NeverSecureError(f"{protocol} has no positive rate even at zero distance")
+    end = int(np.argmin(secure))
+    if secure[end]:
+        raise ScanLimitError(f"rate still positive at the {grid[-1]} km scan limit")
+    steps = 2 ** math.ceil(math.log2(COARSE_STEP_KM / RESOLUTION_KM))
+    lattice = grid[end - 1] + np.arange(steps + 1) * (COARSE_STEP_KM / steps)
+    secure = rates(lattice) > 0
+    lo, hi = 0, steps
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if secure[mid] else (lo, mid)
+    return float(0.5 * (lattice[lo] + lattice[hi]))
+
+
+class TestWindowedScan:
+    """The cutoff search evaluates the coarse grid past FIRST_SCAN_KM only while
+    the rate is still positive; on every link it finds what the whole grid finds."""
+
+    @staticmethod
+    def outcome(search):
+        try:
+            return search().hex()
+        except (ValueError, RuntimeWarning) as exc:
+            return type(exc)
+
+    def test_same_outcome_as_the_full_grid_scan(self, monkeypatch):
+        rng = np.random.default_rng(20241018)
+        searched = []
+
+        def reference(protocol, rates):
+            searched.append(rates)
+            return full_grid_cutoff_km(protocol, rates)
+
+        grid = np.arange(0.0, SCAN_LIMIT_KM + COARSE_STEP_KM, COARSE_STEP_KM)
+        skipped = 0
+        for _ in range(300):
+            channel = ChannelParams(
+                rng.uniform(0.15, 0.4) if rng.random() < 0.5 else rng.uniform(0.1, 4.0),
+                0.0,
+                math.exp(rng.uniform(math.log(1e-3), 0.0)),
+                0.0 if rng.random() < 0.3 else math.exp(rng.uniform(math.log(1e-8), math.log(1e-3))),
+                rng.uniform(0.0, 0.1),
+                rng.uniform(1.0, 1.5),
+            )
+            kind = rng.integers(4)
+            protocol = PROTOCOLS[(0, 2, 1, 1)[kind]]
+            mu = "optimal" if kind == 3 else rng.uniform(0.02, 0.6)
+            searches = [lambda: max_secure_distance(protocol, mu, channel)]
+            if protocol != "sarg04-no-decoy":
+                searches.append(lambda: exact_ceiling_km(protocol, mu, channel))
+            for search in searches:
+                got = self.outcome(search)
+                with monkeypatch.context() as patched:
+                    patched.setattr(decoyqkd.sweeps, "_cutoff_km", reference)
+                    want = self.outcome(search)
+                if got == want:
+                    continue
+                # the full grid raised from a coarse point past the first
+                # insecure one, which the windowed scan does not evaluate
+                assert want not in (NeverSecureError, ScanLimitError), (channel, protocol, mu)
+                assert isinstance(got, str) or got is NeverSecureError, (channel, protocol, mu)
+                end = 0 if got is NeverSecureError else int(float.fromhex(got) // COARSE_STEP_KM) + 1
+                secure = searched[-1](grid[: end + 1]) > 0
+                assert secure[:end].all() and not secure[end]
+                with pytest.raises(want):
+                    searched[-1](grid[end + 1 :])
+                skipped += 1
+        assert skipped < 30
