@@ -203,9 +203,9 @@ def _cutoff_km(protocol: str, rates: Callable[[np.ndarray], np.ndarray]) -> floa
     in one call and the halvings are replayed on it.
 
     That is two calls; a third only while the rate is still positive at
-    FIRST_SCAN_KM, because the scan evaluates the grid past FIRST_SCAN_KM only
-    then. Points past the first non-positive one are never evaluated, so they
-    raise nothing.
+    FIRST_SCAN_KM, because the scan evaluates its grid past FIRST_SCAN_KM only
+    then. So where an earlier coarse point is not secure, the points past
+    FIRST_SCAN_KM are not evaluated and raise nothing.
     """
     grid = np.arange(0.0, SCAN_LIMIT_KM + COARSE_STEP_KM, COARSE_STEP_KM)
     first = int(FIRST_SCAN_KM / COARSE_STEP_KM) + 1
