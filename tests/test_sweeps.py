@@ -356,7 +356,7 @@ class TestWindowedScan:
             return full_grid_cutoff_km(protocol, rates)
 
         grid = np.arange(0.0, SCAN_LIMIT_KM + COARSE_STEP_KM, COARSE_STEP_KM)
-        skipped = 0
+        tail_raises = 0
         for _ in range(300):
             channel = ChannelParams(
                 rng.uniform(0.15, 0.4) if rng.random() < 0.5 else rng.uniform(0.1, 4.0),
@@ -388,5 +388,5 @@ class TestWindowedScan:
                 assert secure[:end].all() and not secure[end]
                 with pytest.raises(want):
                     searched[-1](grid[end + 1 :])
-                skipped += 1
-        assert skipped < 30
+                tail_raises += 1
+        assert tail_raises < 30
