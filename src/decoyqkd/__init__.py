@@ -44,7 +44,6 @@ from .rates import (
     rate_sarg04_worst,
     untagged_fraction,
 )
-from .roots import BracketError, bisect_root
 from .sweeps import (
     DEFAULT_NU3,
     OPTIMAL_MU,

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from decoyqkd import (
-    BracketError,
     ObservedTally,
     PhotonBounds,
     binary_entropy,
-    bisect_root,
     estimate_photon_bounds,
     honest_tally,
     optimal_mu_sarg04,
@@ -161,6 +159,18 @@ class TestRateSarg04Worst:
         assert rate == pytest.approx(expected, rel=1e-13)
 
 
+def _exact_optimal_mu(eta: float) -> float:
+    """The optimal SARG04 intensity mu = -W0(-k sqrt(2 eta)) / k, k = (1 - eta)/2.
+
+    Written as sqrt(2 eta) W0(z) / z with z = -k sqrt(2 eta), whose limit at
+    z = 0 (eta = 1) is sqrt(2 eta).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    x = math.sqrt(2.0 * eta)
+    z = -0.5 * (1.0 - eta) * x
+    return x * mpmath.fp.lambertw(z) / z if z else x
+
+
 class TestOptimalMuSarg04:
     @pytest.mark.parametrize("eta,rel", [(1e-6, 0.02), (1e-4, 0.02), (1e-3, 0.05)])
     def test_matches_asymptotic_formula(self, eta, rel):
@@ -181,23 +191,19 @@ class TestOptimalMuSarg04:
         assert optimal_mu_sarg04(1e-40) == pytest.approx(math.sqrt(2e-40), rel=1e-12)
 
     def test_agrees_with_bisection(self):
-        # the 41-step bisection of (1e-15, 2) to 1e-12, whose cells the
-        # solver reports, on the optimality residual
+        # the solver reports the midpoint of the 2^-41 cell of (1e-15, 2) that
+        # holds the root, as a bisection to 1e-12 would; that is within 2e-12
+        # of the exact root
         rng = np.random.default_rng(6)
         eta = np.concatenate(
             [10.0 ** rng.uniform(math.log10(5e-31), 0.0, 20_000), [1.0, 1 / 3, 1e-30]]
         )
-
-        def residual(mu):
-            return eta * np.exp(-eta * mu) - 0.5 * mu**2 * np.exp(-mu)
-
-        bisected = bisect_root(residual, np.full(eta.shape, 1e-15), np.full(eta.shape, 2.0))
-        assert np.abs(optimal_mu_sarg04(eta) - bisected).max() <= 2e-12
+        exact = np.array([_exact_optimal_mu(e) for e in eta])
+        assert np.abs(optimal_mu_sarg04(eta) - exact).max() <= 2e-12
 
     def test_lossless_link_gives_bisected_sqrt2(self):
         # at eta = 1 the optimum solves mu^2 = 2
-        bisected = bisect_root(lambda mu: mu**2 - 2.0, 1e-15, 2.0)
-        assert optimal_mu_sarg04(1.0) == pytest.approx(bisected, abs=2e-12)
+        assert optimal_mu_sarg04(1.0) == pytest.approx(_exact_optimal_mu(1.0), abs=2e-12)
 
     @pytest.mark.parametrize("eta", [0.0, -0.1, 1.5])
     def test_invalid_transmittance_rejected(self, eta):
@@ -232,51 +238,3 @@ class TestRateNonorthogonalDecoy:
         assert rate_nonorthogonal_decoy(signal, bounds, gys.f_ec) == pytest.approx(
             expected, rel=1e-14
         )
-
-
-class TestBisectRoot:
-    def test_simple_root(self):
-        assert bisect_root(lambda x: x**2 - 2, 0, 2) == pytest.approx(math.sqrt(2), abs=1e-11)
-
-    def test_no_bracket_rejected(self):
-        with pytest.raises(BracketError):
-            bisect_root(lambda x: x**2 + 1, -1, 1)
-
-    def test_endpoint_root(self):
-        assert bisect_root(lambda x: x, 0.0, 1.0) == 0.0
-
-    def test_elementwise_steps_match_scalar_bisection(self):
-        # reference: the scalar loop, one bracket at a time
-        def scalar_bisect(f, lo, hi, xtol):
-            f_lo = f(lo)
-            if f_lo == 0:
-                return lo
-            if f(hi) == 0:
-                return hi
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                f_mid = f(mid)
-                if f_mid == 0:
-                    return mid
-                if (f_mid > 0) == (f_lo > 0):
-                    lo, f_lo = mid, f_mid
-                else:
-                    hi = mid
-                if hi - lo <= xtol:
-                    break
-            return 0.5 * (lo + hi)
-
-        rng = np.random.default_rng(3)
-        roots = rng.uniform(-5.0, 5.0, 300)
-        slopes = rng.choice([-2.0, 0.5, 3.0], 300)
-        lo = roots - rng.uniform(0.0, 40.0, 300)
-        hi = roots + rng.uniform(0.0, 40.0, 300)
-        # exact roots at an end, at a midpoint, and brackets of every width
-        lo[:3], hi[:3], roots[:3] = [0.0, -1.0, -2.0], [1.0, 0.0, 2.0], [0.0, 0.0, 0.0]
-        for xtol in (1e-12, 1e-3, 0.7):
-            got = bisect_root(lambda x: slopes * (x - roots), lo, hi, xtol=xtol)
-            want = [
-                scalar_bisect(lambda x: s * (x - r), a, b, xtol)
-                for s, r, a, b in zip(slopes, roots, lo, hi)
-            ]
-            assert got.tolist() == want
