@@ -109,13 +109,18 @@ def _clamp(n: int, raw_yield, error_weight, scale: float):
     """Clamp the n-photon yield bound into [0, 1] and its error-rate bound into [0, cap].
 
     e_nU = error_weight / (Y_nL scale); cap is 1/2 for n = 1 and 1 for n = 2, and a
-    vacuous Y_nL <= 0 gives e_nU = cap. Returns (Y_nL, e_nU, flags).
+    vacuous Y_nL <= 0 gives e_nU = cap. A positive Y_nL whose product with scale
+    underflows to 0 bounds nothing either: its e_nU is the cap, flagged as clamped.
+    Returns (Y_nL, e_nU, flags).
     """
     cap, cap_name = (E_VACUUM, "1/2") if n == 1 else (1.0, "1")
     vacuous = raw_yield <= 0
     y = np.where(vacuous, 0.0, np.minimum(raw_yield, 1.0))
-    # NaN at the vacuous elements keeps them out of the error-rate flags
-    raw_error = error_weight / (np.where(vacuous, np.nan, y) * scale)
+    denominator = y * scale
+    # NaN at the vacuous elements keeps them out of the error-rate flags; inf at
+    # an underflowed denominator raises the clamp flag
+    raw_error = np.where(vacuous, np.nan, np.inf)
+    np.divide(error_weight, denominator, out=raw_error, where=denominator != 0)
     error = np.where(vacuous, cap, np.clip(raw_error, 0.0, cap))
     flags = tuple(
         name

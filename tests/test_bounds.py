@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,18 @@ class TestBoundTwoPhoton:
         tallies = synthesize_tallies(s, gys)
         with pytest.raises(IntensityConstraintError, match=r"nu1 \+ nu2 > mu"):
             estimate_photon_bounds(tallies, s)
+
+    def test_underflowed_scale_gives_capped_e2_and_flag(self):
+        # at 800 km of 4 dB/km fiber without dark counts Y2L is subnormal, and
+        # Y2L nu3^2 underflows to 0: e2U is the cap, flagged, without 0/0
+        params = ChannelParams(4.0, 800.0, 0.045, 0.0, 0.033, 1.22)
+        s = construct_intensity_set(0.48)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = estimate_photon_bounds(synthesize_tallies(s, params), s)
+        assert result.y2_lower > 0 and result.y2_lower * s.nu3**2 == 0
+        assert result.e2_upper == 1.0
+        assert "e2U clamped to 1" in result.flags
 
     def test_e2_upper_sensitivity_to_nu3(self, gys):
         # the error budget scales like 1/nu3^2 against a numerator ~ nu3,
