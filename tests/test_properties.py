@@ -1,0 +1,56 @@
+"""Property tests over random channels, drawn by hypothesis."""
+
+import math
+import warnings
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from decoyqkd import (  # noqa: E402
+    DEFAULT_NU3,
+    ChannelParams,
+    construct_intensity_set,
+    estimate_photon_bounds,
+    synthesize_tallies,
+    transmittance,
+)
+
+#: -log10 of the smallest transmittance eta at which eta nu3 is still a positive float.
+EDGE_DECADES = -math.log10(5e-324 / DEFAULT_NU3)
+#: Overall transmittances, as -log10(eta). Half the draws lie within four decades
+#: of the edge, where Y2L nu3^2 underflows though Y2L is positive.
+decades = st.floats(0.0, EDGE_DECADES) | st.floats(EDGE_DECADES - 4.0, EDGE_DECADES)
+
+
+@st.composite
+def links(draw):
+    """A channel at a distance whose transmittance is drawn from ``decades``."""
+    eta_bob = draw(st.floats(1e-3, 1.0))
+    alpha = draw(st.just(0.0) | st.floats(0.01, 4.0))
+    # the fiber loss that leaves 10^-decades of eta_bob (none on a lossless fiber)
+    loss_db = 10.0 * max(draw(decades) + math.log10(eta_bob), 0.0)
+    return ChannelParams(
+        alpha_db_per_km=alpha,
+        distance_km=loss_db / alpha if alpha else draw(st.floats(0.0, 1000.0)),
+        eta_bob=eta_bob,
+        y0=draw(st.just(0.0) | st.floats(1e-9, 1e-3)),
+        e_det=draw(st.floats(0.0, 0.2)),
+        f_ec=1.22,
+    )
+
+
+@settings(max_examples=200)
+@given(params=links(), mu=st.floats(0.05, 1.0))
+def test_bounds_stay_in_range_without_warning(params, mu):
+    s = construct_intensity_set(mu)
+    # every pulse class but the vacuum still has a positive gain
+    assume(transmittance(params) * s.nu3 > 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        bounds = estimate_photon_bounds(synthesize_tallies(s, params), s)
+    assert 0.0 <= bounds.y1_lower <= 1.0
+    assert 0.0 <= bounds.y2_lower <= 1.0
+    assert 0.0 <= bounds.e1_upper <= 0.5
+    assert 0.0 <= bounds.e2_upper <= 1.0
