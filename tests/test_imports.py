@@ -1,6 +1,9 @@
-"""Module boundaries: no decoyqkd module imports another's private names."""
+"""Module boundaries: no decoyqkd module imports another's private names, and
+importing the package loads no third-party module but numpy."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,3 +28,21 @@ def private_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_imports_no_private_name(path):
     assert private_imports(path) == []
+
+
+def test_runtime_imports_only_numpy():
+    # a fresh interpreter, as this one has loaded pytest, mpmath and hypothesis;
+    # modules that site loads at start-up (from .pth files) are not counted
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import decoyqkd, decoyqkd.cli, decoyqkd.exact\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(loaded - set(sys.stdlib_module_names))))\n"
+    )
+    # -c puts the working directory first on sys.path: the child imports this package
+    src = str(Path(decoyqkd.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, cwd=src
+    ).stdout
+    assert out.split() == ["decoyqkd", "numpy"]
