@@ -23,7 +23,7 @@ from typing import Union
 
 from .bounds import IntensityConstraintError
 from .channel import ChannelParams, GYS
-from .rates import PROTOCOLS
+from .rates import DECOY_RATES, PROTOCOLS
 from .sweeps import (
     DEFAULT_NU3,
     NeverSecureError,
@@ -41,11 +41,9 @@ EXIT_CONSTRAINT = 3
 
 _PRESETS = {"gys": GYS}
 
-_DEFAULT_MU = {
-    "bb84-decoy": 0.48,
-    "nonorthogonal-decoy": 0.48,
-    "sarg04-no-decoy": OPTIMAL_MU,
-}
+#: Default signal intensity of a decoy protocol; sarg04-no-decoy defaults
+#: to its per-distance optimum.
+_DECOY_MU = 0.48
 
 
 def _parse_preset(text: str) -> ChannelParams:
@@ -78,7 +76,8 @@ def _parse_distance(text: str) -> tuple[float, float, float]:
 
 #: Every option, once: name -> (parse, default text, help). The flag is the
 #: name with dashes and the config-file key is the name. A channel option
-#: without a text keeps its preset's value; mu without one takes _DEFAULT_MU.
+#: without a text keeps its preset's value; mu without one takes _DECOY_MU
+#: for a decoy protocol and OPTIMAL_MU otherwise.
 OPTIONS = {
     "preset": (_parse_preset, "gys", "named channel parameter set (gys)"),
     "protocol": (_parse_protocols, "all", "protocol name, comma list, or 'all'"),
@@ -155,7 +154,7 @@ def resolve_config(argv: list[str] | None = None) -> tuple[list[SweepSpec], Path
         SweepSpec(
             protocol,
             *values["distance"],
-            values.get("mu", _DEFAULT_MU[protocol]),
+            values.get("mu", _DECOY_MU if protocol in DECOY_RATES else OPTIMAL_MU),
             channel,
             nu3=values["nu3"],
         )

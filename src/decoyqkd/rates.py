@@ -24,18 +24,7 @@ import numpy as np
 from .bounds import PhotonBounds
 from .channel import ObservedTally
 
-PROTOCOL_BB84_DECOY = "bb84-decoy"
-PROTOCOL_SARG04_NO_DECOY = "sarg04-no-decoy"
-PROTOCOL_NONORTHOGONAL_DECOY = "nonorthogonal-decoy"
-PROTOCOLS = (PROTOCOL_BB84_DECOY, PROTOCOL_SARG04_NO_DECOY, PROTOCOL_NONORTHOGONAL_DECOY)
-
-#: Sifting efficiencies: half of BB84 detections survive basis
-#: reconciliation; a quarter survive SARG04 pair announcement.
-SIFTING = {
-    PROTOCOL_BB84_DECOY: 0.5,
-    PROTOCOL_SARG04_NO_DECOY: 0.25,
-    PROTOCOL_NONORTHOGONAL_DECOY: 0.25,
-}
+PROTOCOLS = ("bb84-decoy", "sarg04-no-decoy", "nonorthogonal-decoy")
 
 
 @dataclass(slots=True)
@@ -73,7 +62,7 @@ def rate_bb84_decoy(signal_tally: ObservedTally, bounds: PhotonBounds, f_ec: flo
     """
     cost = signal_tally.gain * f_ec * binary_entropy(signal_tally.qber)
     gain = bounds.q1_lower * (1.0 - binary_entropy(np.minimum(bounds.e1_upper, 0.5)))
-    return SIFTING[PROTOCOL_BB84_DECOY] * (gain - cost)
+    return 0.5 * (gain - cost)
 
 
 #: untagged_fraction takes the tagged probability from its series below this mu.
@@ -122,7 +111,7 @@ def rate_sarg04_worst(signal_tally: ObservedTally, q0: float, omega: float) -> f
     # the dropped elements divide by 1 and are then overwritten
     capped = np.minimum(signal_tally.qber / np.where(untagged, omega, 1.0), 0.5)
     untagged_term = np.where(untagged, omega * q_mu * (1.0 - binary_entropy(capped)), 0.0)
-    return SIFTING[PROTOCOL_SARG04_NO_DECOY] * (q0 + untagged_term - cost)
+    return 0.25 * (q0 + untagged_term - cost)
 
 
 #: optimal_mu_sarg04 reports the midpoint of the cell that holds the root,
@@ -181,4 +170,9 @@ def rate_nonorthogonal_decoy(
     cost = signal_tally.gain * f_ec * binary_entropy(signal_tally.qber)
     gain_1 = bounds.q1_lower * (1.0 - binary_entropy(np.minimum(bounds.e1_upper, 0.5)))
     gain_2 = bounds.q2_lower * (1.0 - binary_entropy(np.minimum(bounds.e2_upper, 0.5)))
-    return SIFTING[PROTOCOL_NONORTHOGONAL_DECOY] * (bounds.q0 + gain_1 + gain_2 - cost)
+    return 0.25 * (bounds.q0 + gain_1 + gain_2 - cost)
+
+
+#: The rate formula of each decoy protocol, from the signal tally and photon
+#: bounds. The other protocol, sarg04-no-decoy, takes no decoy bounds.
+DECOY_RATES = {"bb84-decoy": rate_bb84_decoy, "nonorthogonal-decoy": rate_nonorthogonal_decoy}

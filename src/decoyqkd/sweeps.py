@@ -26,14 +26,10 @@ from .channel import (
 )
 from .exact import exact_bounds
 from .rates import (
-    KeyRatePoint,
-    PROTOCOL_BB84_DECOY,
-    PROTOCOL_NONORTHOGONAL_DECOY,
-    PROTOCOL_SARG04_NO_DECOY,
+    DECOY_RATES,
     PROTOCOLS,
+    KeyRatePoint,
     optimal_mu_sarg04,
-    rate_bb84_decoy,
-    rate_nonorthogonal_decoy,
     rate_sarg04_worst,
     untagged_fraction,
 )
@@ -64,12 +60,6 @@ SCAN_LIMIT_KM = 1000.0
 #: 250 km and 4 were never secure, with a median cutoff of 88 km; the GYS
 #: cutoffs are 96.7-146.9 km.
 FIRST_SCAN_KM = 250.0
-
-#: The rate formula of each decoy protocol, from the signal tally and photon bounds.
-_DECOY_RATE = {
-    PROTOCOL_BB84_DECOY: rate_bb84_decoy,
-    PROTOCOL_NONORTHOGONAL_DECOY: rate_nonorthogonal_decoy,
-}
 
 #: Sentinel for per-distance optimization of the signal intensity
 #: (sarg04-no-decoy only).
@@ -122,7 +112,7 @@ def _check_request(protocol: str, mu: Union[float, str]) -> None:
     if isinstance(mu, str):
         if mu != OPTIMAL_MU:
             raise ValueError(f"mu must be a number or {OPTIMAL_MU!r}, got {mu!r}")
-        if protocol != PROTOCOL_SARG04_NO_DECOY:
+        if protocol in DECOY_RATES:
             raise ValueError("per-distance optimal mu is only defined for sarg04-no-decoy")
     elif not 0 < mu <= MAX_MU:
         raise ValueError(f"mu must be > 0 and <= {MAX_MU:g}, got {mu}")
@@ -165,7 +155,12 @@ def rate_at(
     _check_request(protocol, mu)
     distances = np.atleast_1d(np.asarray(distance_km, dtype=float))
     params = channel.at_distance(distances)
-    if protocol == PROTOCOL_SARG04_NO_DECOY:
+    if protocol in DECOY_RATES:
+        intensities = construct_intensity_set(mu, nu3)
+        tallies = synthesize_tallies(intensities, params)
+        bounds = estimate_photon_bounds(tallies, intensities)
+        rate = DECOY_RATES[protocol](tallies.row(-1), bounds, params.f_ec)
+    else:
         if mu == OPTIMAL_MU:
             # where the transmittance underflows to 0 no signal arrives: send none
             eta = transmittance(params)
@@ -174,11 +169,6 @@ def rate_at(
         signal = honest_tally(mu, params)
         q0 = params.y0 * np.exp(-mu)
         rate = rate_sarg04_worst(signal, q0, untagged_fraction(signal, mu))
-    else:
-        intensities = construct_intensity_set(mu, nu3)
-        tallies = synthesize_tallies(intensities, params)
-        bounds = estimate_photon_bounds(tallies, intensities)
-        rate = _DECOY_RATE[protocol](tallies.row(-1), bounds, params.f_ec)
     mus = np.full(distances.shape, mu)
     if np.ndim(distance_km) == 0:
         return KeyRatePoint(protocol, distance_km, float(mus[0]), float(rate[0]))
@@ -242,12 +232,12 @@ def exact_ceiling_km(protocol: str, mu: float, channel: ChannelParams) -> float:
     """Cutoff of a decoy protocol's rate with ``exact_bounds`` in place of the
     decoy bounds: no conservative cutoff lies beyond it, up to RESOLUTION_KM."""
     _check_request(protocol, mu)
-    if protocol not in _DECOY_RATE:
+    if protocol not in DECOY_RATES:
         raise ValueError(f"the exact-statistics ceiling needs a decoy protocol, got {protocol!r}")
 
     def rates(distances):
         params = channel.at_distance(distances)
         signal = honest_tally(mu, params)
-        return _DECOY_RATE[protocol](signal, exact_bounds(mu, params), params.f_ec)
+        return DECOY_RATES[protocol](signal, exact_bounds(mu, params), params.f_ec)
 
     return _cutoff_km(protocol, rates)
