@@ -6,6 +6,7 @@ import pytest
 from decoyqkd import (
     ChannelParams,
     IntensitySet,
+    ObservedTally,
     ParameterError,
     UndefinedQberError,
     honest_tally,
@@ -216,3 +217,23 @@ def test_channel_params_invariants(field, value):
 def test_at_distance_rejects_a_bad_distance(gys, distance):
     with pytest.raises(ParameterError, match=r"^distance_km must be finite and >= 0$"):
         gys.at_distance(distance)
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("intensity", -0.1, "intensity must be >= 0"),
+        ("intensity", math.nan, "intensity must be >= 0"),
+        ("gain", -1e-9, r"gain must be in \[0, 1\]"),
+        ("gain", 1.5, r"gain must be in \[0, 1\]"),
+        ("gain", np.array([0.1, math.nan]), r"gain must be in \[0, 1\]"),
+        ("qber", -0.01, r"qber must be in \[0, 1\]"),
+        ("qber", 1.01, r"qber must be in \[0, 1\]"),
+        ("qber", math.nan, r"qber must be in \[0, 1\]"),
+    ],
+)
+def test_observed_tally_range_checks(field, value, message):
+    kwargs = dict(intensity=0.3, gain=1e-3, qber=0.02)
+    kwargs[field] = value
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        ObservedTally(**kwargs)

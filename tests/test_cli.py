@@ -90,6 +90,12 @@ class TestConfigFile:
         cfg.write_text("nu3 = abc\n")
         assert run_cli(["--config", str(cfg)]) == EXIT_CONFIG
 
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        # a missing file and a directory: neither can be read as text
+        for cfg in (tmp_path / "missing.cfg", tmp_path):
+            assert run_cli(["--config", str(cfg)]) == EXIT_CONFIG
+            assert capsys.readouterr().err.startswith("error: cannot read config file ")
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("\n# full comment\nmu = 0.3  # trailing comment\n\n")
@@ -179,6 +185,9 @@ class TestRun:
         assert run_cli(["--mu", "abc"]) == EXIT_CONFIG
         assert run_cli(["--distance", "0-100-1"]) == EXIT_CONFIG
         assert run_cli(["--protocol", "b92"]) == EXIT_CONFIG
+        capsys.readouterr()
+        assert run_cli(["--preset", "ideal"]) == EXIT_CONFIG
+        assert "error: preset: unknown preset 'ideal'" in capsys.readouterr().err
         # non-finite values, a sweep too large to allocate, too large an intensity,
         # and a link without dark counts that the model cannot evaluate: a zero
         # gain (so no QBER) where the transmittance underflows

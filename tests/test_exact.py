@@ -5,6 +5,7 @@ import pytest
 
 from decoyqkd import (
     ChannelParams,
+    ParameterError,
     exact_bounds,
     exact_stats,
     honest_tally,
@@ -74,6 +75,10 @@ class TestExactStats:
         for n in (1, 2):
             stats = exact_stats(n, 0.3, params)
             assert (stats.detection_yield, stats.error_rate) == (1.0, 0.033)
+
+    def test_negative_photon_number_rejected(self, gys):
+        with pytest.raises(ParameterError, match="photon number must be >= 0"):
+            exact_stats(-1, 0.3, gys)
 
     def test_distance_array_equals_scalar_calls(self, gys):
         distances = np.arange(0.0, 251.0)

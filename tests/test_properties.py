@@ -1,6 +1,7 @@
 """Property tests over random channels, drawn by hypothesis."""
 
 import math
+import sys
 import warnings
 
 import pytest
@@ -13,24 +14,25 @@ from decoyqkd import (  # noqa: E402
     ChannelParams,
     construct_intensity_set,
     estimate_photon_bounds,
+    exact_bounds,
     synthesize_tallies,
     transmittance,
 )
 
 #: -log10 of the smallest transmittance eta at which eta nu3 is still a positive float.
 EDGE_DECADES = -math.log10(5e-324 / DEFAULT_NU3)
-#: Overall transmittances, as -log10(eta). Half the draws lie within four decades
-#: of the edge, where Y2L nu3^2 underflows though Y2L is positive.
-decades = st.floats(0.0, EDGE_DECADES) | st.floats(EDGE_DECADES - 4.0, EDGE_DECADES)
 
 
 @st.composite
-def links(draw):
-    """A channel at a distance whose transmittance is drawn from ``decades``."""
+def links(draw, edge=EDGE_DECADES):
+    """A channel at a distance whose overall transmittance eta is 10^-d, d in
+    [0, edge]. Half the draws lie within four decades of the edge; at the
+    default edge, Y2L nu3^2 underflows there though Y2L is positive."""
     eta_bob = draw(st.floats(1e-3, 1.0))
     alpha = draw(st.just(0.0) | st.floats(0.01, 4.0))
+    decades = draw(st.floats(0.0, edge) | st.floats(edge - 4.0, edge))
     # the fiber loss that leaves 10^-decades of eta_bob (none on a lossless fiber)
-    loss_db = 10.0 * max(draw(decades) + math.log10(eta_bob), 0.0)
+    loss_db = 10.0 * max(decades + math.log10(eta_bob), 0.0)
     return ChannelParams(
         alpha_db_per_km=alpha,
         distance_km=loss_db / alpha if alpha else draw(st.floats(0.0, 1000.0)),
@@ -54,3 +56,22 @@ def test_bounds_stay_in_range_without_warning(params, mu):
     assert 0.0 <= bounds.y2_lower <= 1.0
     assert 0.0 <= bounds.e1_upper <= 0.5
     assert 0.0 <= bounds.e2_upper <= 1.0
+
+
+@settings(max_examples=300)
+@given(mu=st.floats(0.05, 1.0), spread=st.floats(0.0, 1.0), data=st.data())
+def test_bounds_are_conservative(mu, spread, data):
+    # nu3 log-uniform in [1e-9, 0.2 mu]; a smaller nu3 cancels the bounds in
+    # floating point (ROADMAP item 4), as do an eta nu3 or an e_det that is
+    # subnormal, so those are left out too
+    nu3 = 1e-9 * (0.2 * mu / 1e-9) ** spread
+    params = data.draw(links(edge=-math.log10(sys.float_info.min / nu3)))
+    assume(transmittance(params) * nu3 >= sys.float_info.min)
+    assume(params.e_det == 0 or params.e_det >= sys.float_info.min)
+    s = construct_intensity_set(mu, nu3)
+    bounds = estimate_photon_bounds(synthesize_tallies(s, params), s)
+    exact = exact_bounds(mu, params)
+    assert bounds.y1_lower <= exact.y1_lower
+    assert bounds.e1_upper >= exact.e1_upper
+    assert bounds.y2_lower <= exact.y2_lower
+    assert bounds.e2_upper >= exact.e2_upper

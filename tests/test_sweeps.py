@@ -125,6 +125,14 @@ class TestSweep:
         with pytest.raises(ValueError):
             max_secure_distance("bb84-decoy", "optimal", gys)
 
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_mu_string_other_than_optimal_rejected(self, gys, protocol):
+        for mu in ("Optimal", "0.3", ""):
+            with pytest.raises(ValueError, match="mu must be a number or 'optimal'"):
+                SweepSpec(protocol, 0.0, 10.0, 1.0, mu, gys)
+            with pytest.raises(ValueError, match="mu must be a number or 'optimal'"):
+                rate_at(protocol, mu, gys, 10.0)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
