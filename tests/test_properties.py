@@ -61,9 +61,9 @@ def test_bounds_stay_in_range_without_warning(params, mu):
 @settings(max_examples=300)
 @given(mu=st.floats(0.05, 1.0), spread=st.floats(0.0, 1.0), data=st.data())
 def test_bounds_are_conservative(mu, spread, data):
-    # nu3 log-uniform in [1e-9, 0.2 mu]; a smaller nu3 cancels the bounds in
-    # floating point (ROADMAP item 4), as do an eta nu3 or an e_det that is
-    # subnormal, so those are left out too
+    # nu3 log-uniform in [1e-9, 0.2 mu]. The float bounds are not yet
+    # conservative where their terms cancel to round-off: a smaller nu3, or
+    # an eta nu3 or e_det below the normal floats. Those are left out.
     nu3 = 1e-9 * (0.2 * mu / 1e-9) ** spread
     params = data.draw(links(edge=-math.log10(sys.float_info.min / nu3)))
     assume(transmittance(params) * nu3 >= sys.float_info.min)
