@@ -41,8 +41,7 @@ EXIT_CONSTRAINT = 3
 
 _PRESETS = {"gys": GYS}
 
-#: Default signal intensity of a decoy protocol; sarg04-no-decoy defaults
-#: to its per-distance optimum.
+#: Default signal intensity of the decoy protocols.
 _DECOY_MU = 0.48
 
 
