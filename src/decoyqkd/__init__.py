@@ -9,15 +9,14 @@ A brute-force per-photon-number model validates every estimate.
 
 from .bounds import (
     IntensityConstraintError,
+    IntensitySet,
     PhotonBounds,
     balance_residual,
     estimate_photon_bounds,
-    validate_intensities,
 )
 from .channel import (
     GYS,
     ChannelParams,
-    IntensitySet,
     ObservedTally,
     ParameterError,
     UndefinedQberError,

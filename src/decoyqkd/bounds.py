@@ -6,8 +6,8 @@ returns the background yield Y0, lower bounds on the single-photon yield
 Y1 and two-photon yield Y2, upper bounds on their error rates e1 and e2,
 and the corresponding gain bounds Q1, Q2. The bounds are conservative for
 any channel whose per-photon-number yields lie in [0, 1]: Y1L <= Y1,
-e1U >= e1, Y2L <= Y2, e2U >= e2. ``validate_intensities`` is the one place
-that checks the intensity constraints the bounds rest on.
+e1U >= e1, Y2L <= Y2, e2U >= e2. An ``IntensitySet`` meets the intensity
+constraints the bounds rest on: it checks them when it is built.
 
 The tallies are positional: one ``ObservedTally`` with the classes vacuum,
 nu3, nu2, nu1, mu on axis 0. The bounds are elementwise in distance:
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import E_VACUUM, IntensitySet, ObservedTally
+from .channel import E_VACUUM, ObservedTally
 
 
 class IntensityConstraintError(ValueError):
@@ -50,8 +50,9 @@ def _denominators(s: IntensitySet) -> tuple[float, float]:
     return mu * (nu2 - nu3) * (mu - nu2 - nu3), mu * (nu1 - nu2) * (nu1 + nu2 - mu)
 
 
-def validate_intensities(intensities: IntensitySet) -> IntensitySet:
-    """Check every ordering constraint and the cubic balance condition.
+@dataclass(frozen=True)
+class IntensitySet:
+    """Signal and decoy mean photon numbers, checked when built.
 
     Required:
         0 < nu3 < nu2 <= (2/3) mu < nu1 <= (3/4) mu
@@ -65,44 +66,50 @@ def validate_intensities(intensities: IntensitySet) -> IntensitySet:
 
     Raises IntensityConstraintError naming each violated constraint.
     """
-    s = intensities
-    problems = []
-    if not s.mu > 0:
-        raise IntensityConstraintError(f"mu must be > 0, got {s.mu}")
-    if not 0 < s.nu3:
-        problems.append(f"nu3 must be > 0 (nu3={s.nu3})")
-    if not s.nu3 < s.nu2:
-        problems.append(f"nu3 < nu2 violated (nu3={s.nu3}, nu2={s.nu2})")
-    # implied by the chain below, but its slack lets nu2 = nu1 = 2mu/3 through
-    if not s.nu2 < s.nu1:
-        problems.append(f"nu2 < nu1 violated (nu2={s.nu2}, nu1={s.nu1})")
-    # slack of a few ulps so exact fractions of mu (e.g. nu1 = 3mu/4
-    # written as a decimal) are not rejected over float round-off
-    tol = 1e-12 * s.mu
-    if not s.nu2 <= 2.0 * s.mu / 3.0 + tol:
-        problems.append(f"nu2 <= 2mu/3 violated (nu2={s.nu2}, 2mu/3={2.0 * s.mu / 3.0})")
-    if not 2.0 * s.mu / 3.0 < s.nu1 + tol:
-        problems.append(f"2mu/3 < nu1 violated (nu1={s.nu1}, 2mu/3={2.0 * s.mu / 3.0})")
-    if not s.nu1 <= 0.75 * s.mu + tol:
-        problems.append(f"nu1 <= 3mu/4 violated (nu1={s.nu1}, 3mu/4={0.75 * s.mu})")
-    if not s.nu1 + s.nu2 > s.mu:
-        problems.append(f"nu1 + nu2 > mu violated (nu1+nu2={s.nu1 + s.nu2}, mu={s.mu})")
-    if not s.nu2 + s.nu3 < s.mu:
-        problems.append(f"nu2 + nu3 < mu violated (nu2+nu3={s.nu2 + s.nu3}, mu={s.mu})")
-    if not problems and not min(_denominators(s)) > 0:
-        problems.append(f"bound denominators {_denominators(s)} must be > 0 (mu={s.mu})")
-    if not problems and not s.nu3**2 >= sys.float_info.min:
-        problems.append(f"nu3={s.nu3} is too small: nu3^2 underflows below the normal floats")
-    if not problems:
-        residual = balance_residual(s)
-        if abs(residual) > BALANCE_RESIDUAL_TOL:
-            problems.append(
-                "cubic balance nu1 - nu2 - (nu1^3 - nu2^3)/mu^2 = 0 violated "
-                f"(residual={residual:.3e}, tol={BALANCE_RESIDUAL_TOL:.0e})"
-            )
-    if problems:
-        raise IntensityConstraintError("; ".join(problems))
-    return intensities
+
+    mu: float
+    nu1: float
+    nu2: float
+    nu3: float
+
+    def __post_init__(self):
+        mu, nu1, nu2, nu3 = self.mu, self.nu1, self.nu2, self.nu3
+        problems = []
+        if not mu > 0:
+            raise IntensityConstraintError(f"mu must be > 0, got {mu}")
+        if not 0 < nu3:
+            problems.append(f"nu3 must be > 0 (nu3={nu3})")
+        if not nu3 < nu2:
+            problems.append(f"nu3 < nu2 violated (nu3={nu3}, nu2={nu2})")
+        # implied by the chain below, but its slack lets nu2 = nu1 = 2mu/3 through
+        if not nu2 < nu1:
+            problems.append(f"nu2 < nu1 violated (nu2={nu2}, nu1={nu1})")
+        # slack of a few ulps so exact fractions of mu (e.g. nu1 = 3mu/4
+        # written as a decimal) are not rejected over float round-off
+        tol = 1e-12 * mu
+        if not nu2 <= 2.0 * mu / 3.0 + tol:
+            problems.append(f"nu2 <= 2mu/3 violated (nu2={nu2}, 2mu/3={2.0 * mu / 3.0})")
+        if not 2.0 * mu / 3.0 < nu1 + tol:
+            problems.append(f"2mu/3 < nu1 violated (nu1={nu1}, 2mu/3={2.0 * mu / 3.0})")
+        if not nu1 <= 0.75 * mu + tol:
+            problems.append(f"nu1 <= 3mu/4 violated (nu1={nu1}, 3mu/4={0.75 * mu})")
+        if not nu1 + nu2 > mu:
+            problems.append(f"nu1 + nu2 > mu violated (nu1+nu2={nu1 + nu2}, mu={mu})")
+        if not nu2 + nu3 < mu:
+            problems.append(f"nu2 + nu3 < mu violated (nu2+nu3={nu2 + nu3}, mu={mu})")
+        if not problems and not min(_denominators(self)) > 0:
+            problems.append(f"bound denominators {_denominators(self)} must be > 0 (mu={mu})")
+        if not problems and not nu3**2 >= sys.float_info.min:
+            problems.append(f"nu3={nu3} is too small: nu3^2 underflows below the normal floats")
+        if not problems:
+            residual = balance_residual(self)
+            if abs(residual) > BALANCE_RESIDUAL_TOL:
+                problems.append(
+                    "cubic balance nu1 - nu2 - (nu1^3 - nu2^3)/mu^2 = 0 violated "
+                    f"(residual={residual:.3e}, tol={BALANCE_RESIDUAL_TOL:.0e})"
+                )
+        if problems:
+            raise IntensityConstraintError("; ".join(problems))
 
 
 def _clamp(n: int, raw_yield, error_weight, scale: float):
@@ -154,10 +161,11 @@ class PhotonBounds:
 def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) -> PhotonBounds:
     """Vacuum, single-photon and two-photon bounds from the five observed
     pulse classes, stacked on axis 0 in the order vacuum, nu3, nu2, nu1, mu
-    (as ``synthesize_tallies`` returns them), for an intensity set that
-    passes ``validate_intensities``. The tally's five class intensities must
-    be exactly (0, nu3, nu2, nu1, mu) of that set, or a ``ValueError`` names
-    both: tallies of one set estimated with another give wrong bounds.
+    (as ``synthesize_tallies`` returns them), for an ``IntensitySet`` (any
+    other object is a ``TypeError``, so none skips the set's checks). The
+    tally's five class intensities must be exactly (0, nu3, nu2, nu1, mu) of
+    that set, or a ``ValueError`` names both: tallies of one set estimated
+    with another give wrong bounds.
 
     Y0 is the vacuum gain. The vacuum error rate e0 is taken to be 1/2
     regardless of the observed value, because dark counts are random, and
@@ -184,7 +192,9 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
     error budget (including the single-photon share), so it is loose and grows
     like 1/nu3^2 as nu3 shrinks.
     """
-    s = validate_intensities(intensities)
+    if not isinstance(intensities, IntensitySet):
+        raise TypeError(f"intensities must be an IntensitySet, got {type(intensities).__name__}")
+    s = intensities
     expected = [0.0, s.nu3, s.nu2, s.nu1, s.mu]
     observed = np.ravel(tallies.intensity).tolist()
     if observed != expected:

@@ -16,8 +16,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .bounds import IntensitySet
 
 
 class ParameterError(ValueError):
@@ -93,20 +97,6 @@ GYS = ChannelParams(
 
 #: Dark counts are random, so the vacuum error rate is exactly 1/2.
 E_VACUUM = 0.5
-
-
-@dataclass(frozen=True)
-class IntensitySet:
-    """Signal and decoy mean photon numbers.
-
-    Construction is permissive; use ``bounds.validate_intensities`` to
-    enforce the ordering constraints the estimation formulas rely on.
-    """
-
-    mu: float
-    nu1: float
-    nu2: float
-    nu3: float
 
 
 @dataclass(frozen=True)

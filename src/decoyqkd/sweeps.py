@@ -16,14 +16,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .bounds import IntensityConstraintError, estimate_photon_bounds, validate_intensities
-from .channel import (
-    ChannelParams,
-    IntensitySet,
-    honest_tally,
-    synthesize_tallies,
-    transmittance,
-)
+from .bounds import IntensityConstraintError, IntensitySet, estimate_photon_bounds
+from .channel import ChannelParams, honest_tally, synthesize_tallies, transmittance
 from .exact import exact_bounds
 from .rates import (
     DECOY_RATES,
@@ -79,15 +73,15 @@ def construct_intensity_set(mu: float, nu3: float = DEFAULT_NU3) -> IntensitySet
 
     Pins nu1 at its upper limit 3mu/4 (maximizing the nu1 - nu2 gap) and
     takes nu2 as the positive root of nu2^2 + nu1 nu2 + (nu1^2 - mu^2) = 0,
-    which satisfies the cubic balance condition exactly. The result is
-    fully validated; a mu outside (0, MAX_MU] is rejected before any
+    which satisfies the cubic balance condition exactly. The set checks
+    itself when built; a mu outside (0, MAX_MU] is rejected before any
     arithmetic, whose squares would overflow past about 1e154.
     """
     if not 0 < mu <= MAX_MU:
         raise IntensityConstraintError(f"mu must be > 0 and <= {MAX_MU:g}, got {mu}")
     nu1 = 0.75 * mu
     nu2 = 0.5 * (-nu1 + math.sqrt(4.0 * mu**2 - 3.0 * nu1**2))
-    return validate_intensities(IntensitySet(mu=mu, nu1=nu1, nu2=nu2, nu3=nu3))
+    return IntensitySet(mu=mu, nu1=nu1, nu2=nu2, nu3=nu3)
 
 
 def _grid_points(start_km: float, stop_km: float, step_km: float) -> int:

@@ -36,7 +36,6 @@ from decoyqkd import (
     rate_nonorthogonal_decoy,
     reconstruct_gain,
     synthesize_tallies,
-    validate_intensities,
     verify_bound_inequalities,
 )
 
@@ -219,26 +218,26 @@ class TestCriterion6OracleConsistency:
 
 class TestCriterion7ConstraintEnforcement:
     PASSING = [
-        IntensitySet(0.30, 0.225, 0.11560359488618324, 0.05),
-        IntensitySet(0.48, 0.36, 0.18496575181789318, 0.05),
+        (0.30, 0.225, 0.11560359488618324, 0.05),
+        (0.48, 0.36, 0.18496575181789318, 0.05),
     ]
     FAILING = [
-        IntensitySet(0.30, 0.225, 0.11560359488618324, 0.0),  # nu3 > 0
-        IntensitySet(0.30, 0.225, 0.11560359488618324, 0.2),  # nu3 < nu2
-        IntensitySet(0.30, 0.225, 0.25, 0.05),  # nu2 <= 2mu/3
-        IntensitySet(0.30, 0.19, 0.11560359488618324, 0.05),  # 2mu/3 < nu1
-        IntensitySet(0.30, 0.24, 0.11560359488618324, 0.05),  # nu1 <= 3mu/4
-        IntensitySet(0.60, 0.45, 0.14, 0.05),  # nu1 + nu2 > mu
-        IntensitySet(0.30, 0.225, 0.19, 0.12),  # nu2 + nu3 < mu
-        IntensitySet(0.30, 0.225, 0.11560359488618324 + 1e-6, 0.05),  # balance residual
+        (0.30, 0.225, 0.11560359488618324, 0.0),  # nu3 > 0
+        (0.30, 0.225, 0.11560359488618324, 0.2),  # nu3 < nu2
+        (0.30, 0.225, 0.25, 0.05),  # nu2 <= 2mu/3
+        (0.30, 0.19, 0.11560359488618324, 0.05),  # 2mu/3 < nu1
+        (0.30, 0.24, 0.11560359488618324, 0.05),  # nu1 <= 3mu/4
+        (0.60, 0.45, 0.14, 0.05),  # nu1 + nu2 > mu
+        (0.30, 0.225, 0.19, 0.12),  # nu2 + nu3 < mu
+        (0.30, 0.225, 0.11560359488618324 + 1e-6, 0.05),  # balance residual
     ]
 
     def test_passing_and_failing_cases(self):
-        passed = sum(1 for s in self.PASSING if validate_intensities(s))
+        passed = sum(1 for args in self.PASSING if IntensitySet(*args))
         rejected = 0
-        for s in self.FAILING:
+        for args in self.FAILING:
             with pytest.raises(IntensityConstraintError):
-                validate_intensities(s)
+                IntensitySet(*args)
             rejected += 1
         # construction-level enforcement as well
         construct_intensity_set(0.30, nu3=0.05)

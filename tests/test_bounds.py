@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import numpy as np
@@ -14,7 +15,6 @@ from decoyqkd import (
     estimate_photon_bounds,
     exact_stats,
     synthesize_tallies,
-    validate_intensities,
 )
 
 
@@ -29,7 +29,6 @@ class TestValidateIntensities:
     def test_balanced_set_is_valid(self, mu):
         nu1 = 0.75 * mu
         s = IntensitySet(mu=mu, nu1=nu1, nu2=quadratic_nu2(mu, nu1), nu3=0.05)
-        assert validate_intensities(s) is s
         assert abs(balance_residual(s)) < 1e-12
 
     @pytest.mark.parametrize(
@@ -51,18 +50,18 @@ class TestValidateIntensities:
     )
     def test_each_inequality_rejected(self, kwargs, fragment):
         with pytest.raises(IntensityConstraintError, match=fragment.replace("+", r"\+")):
-            validate_intensities(IntensitySet(**kwargs))
+            IntensitySet(**kwargs)
 
     def test_balance_residual_rejected(self):
         # nudge nu2 off the quadratic root by 1e-6: residual far above 1e-9
         mu, nu1 = 0.30, 0.225
         nu2 = quadratic_nu2(mu, nu1) + 1e-6
         with pytest.raises(IntensityConstraintError, match="residual"):
-            validate_intensities(IntensitySet(mu=mu, nu1=nu1, nu2=nu2, nu3=0.05))
+            IntensitySet(mu=mu, nu1=nu1, nu2=nu2, nu3=0.05)
 
     def test_nonpositive_mu_rejected(self):
         with pytest.raises(IntensityConstraintError, match="mu"):
-            validate_intensities(IntensitySet(mu=0.0, nu1=0.1, nu2=0.05, nu3=0.01))
+            IntensitySet(mu=0.0, nu1=0.1, nu2=0.05, nu3=0.01)
 
 
 def balanced_set(mu, nu3=0.01):
@@ -136,10 +135,9 @@ class TestBoundSinglePhoton:
         assert 0 <= result.y1_lower <= 1.0
 
     def test_degenerate_decoys_rejected(self, gys):
-        s = IntensitySet(mu=0.48, nu1=0.36, nu2=0.05, nu3=0.05)
-        tallies = synthesize_tallies(s, gys)
         with pytest.raises(IntensityConstraintError):
-            estimate_photon_bounds(tallies, s)
+            s = IntensitySet(mu=0.48, nu1=0.36, nu2=0.05, nu3=0.05)
+            estimate_photon_bounds(synthesize_tallies(s, gys), s)
 
     def test_vacuous_bound_clamped_and_flagged(self):
         # gains crafted so the nu2/nu3 difference goes negative
@@ -216,10 +214,9 @@ class TestBoundTwoPhoton:
         assert result.q2_lower <= 1e-15
 
     def test_unbalanced_nu1_nu2_rejected(self, gys):
-        s = IntensitySet(mu=0.60, nu1=0.41, nu2=0.15, nu3=0.05)
-        tallies = synthesize_tallies(s, gys)
         with pytest.raises(IntensityConstraintError, match=r"nu1 \+ nu2 > mu"):
-            estimate_photon_bounds(tallies, s)
+            s = IntensitySet(mu=0.60, nu1=0.41, nu2=0.15, nu3=0.05)
+            estimate_photon_bounds(synthesize_tallies(s, gys), s)
 
     def test_underflowed_scale_gives_capped_e2_and_flag(self):
         # at 800 km of 4 dB/km fiber without dark counts Y2L is subnormal, and
@@ -282,6 +279,13 @@ class TestEstimatePhotonBounds:
         assert estimate_photon_bounds(tallies, s) == estimate_photon_bounds(tallies, s)
 
     def test_invalid_set_rejected(self, gys):
-        s = IntensitySet(mu=0.30, nu1=0.225, nu2=0.25, nu3=0.05)
         with pytest.raises(IntensityConstraintError):
+            s = IntensitySet(mu=0.30, nu1=0.225, nu2=0.25, nu3=0.05)
             estimate_photon_bounds(synthesize_tallies(s, gys), s)
+
+    def test_look_alike_set_rejected(self, gys):
+        # a set is checked when built, so only a built IntensitySet is taken
+        s = balanced_set(0.30)
+        look_alike = types.SimpleNamespace(mu=s.mu, nu1=s.nu1, nu2=s.nu2, nu3=s.nu3)
+        with pytest.raises(TypeError, match="IntensitySet"):
+            estimate_photon_bounds(synthesize_tallies(s, gys), look_alike)

@@ -150,7 +150,7 @@ class TestHonestTally:
 
 class TestSynthesizeTallies:
     def test_five_classes_with_vacuum_first(self, gys):
-        s = IntensitySet(mu=0.48, nu1=0.36, nu2=0.185, nu3=0.05)
+        s = IntensitySet(mu=0.48, nu1=0.36, nu2=0.18496575181789318, nu3=0.05)
         tallies = synthesize_tallies(s, gys.at_distance(50))
         assert tallies.intensity.tolist() == [0.0, s.nu3, s.nu2, s.nu1, s.mu]
         assert tallies.gain.shape == tallies.qber.shape == (5,)
@@ -159,14 +159,14 @@ class TestSynthesizeTallies:
         assert tallies.qber[0] == 0.5
 
     def test_gain_ordering(self, gys):
-        s = IntensitySet(mu=0.48, nu1=0.36, nu2=0.185, nu3=0.05)
+        s = IntensitySet(mu=0.48, nu1=0.36, nu2=0.18496575181789318, nu3=0.05)
         tallies = synthesize_tallies(s, gys.at_distance(50))
         gains = tallies.gain.tolist()
         assert gains == sorted(gains)
 
     def test_consistent_with_honest_model(self, gys):
         params = gys.at_distance(50)
-        s = IntensitySet(mu=0.48, nu1=0.36, nu2=0.185, nu3=0.05)
+        s = IntensitySet(mu=0.48, nu1=0.36, nu2=0.18496575181789318, nu3=0.05)
         tallies = synthesize_tallies(s, params)
         for tally in map(tallies.row, range(5)):
             honest = honest_tally(tally.intensity, params)
@@ -174,7 +174,7 @@ class TestSynthesizeTallies:
             assert tally.qber == honest.qber
 
     def test_deterministic(self, gys):
-        s = IntensitySet(mu=0.3, nu1=0.225, nu2=0.1156, nu3=0.01)
+        s = IntensitySet(mu=0.3, nu1=0.225, nu2=0.11560359488618324, nu3=0.01)
         a, b = synthesize_tallies(s, gys.at_distance(80)), synthesize_tallies(s, gys.at_distance(80))
         for field in ("intensity", "gain", "qber"):
             assert np.array_equal(getattr(a, field), getattr(b, field))

@@ -12,6 +12,7 @@ from decoyqkd import (
     NeverSecureError,
     PROTOCOLS,
     ChannelParams,
+    IntensitySet,
     ObservedTally,
     SweepSpec,
     balance_residual,
@@ -289,6 +290,13 @@ class TestCallCounts:
         built = self.count(monkeypatch, ObservedTally, "__post_init__")
         rate_at(protocol, 0.48, gys, np.arange(0.0, 251.0))
         assert 1 <= len(built) <= 2
+
+    @pytest.mark.parametrize("protocol", ["bb84-decoy", "nonorthogonal-decoy"])
+    def test_decoy_rate_at_checks_its_intensity_set_once(self, gys, monkeypatch, protocol):
+        # the set checks itself when built; the estimator does not check it again
+        checked = self.count(monkeypatch, IntensitySet, "__post_init__")
+        rate_at(protocol, 0.48, gys, np.arange(0.0, 251.0))
+        assert len(checked) == 1
 
     @pytest.mark.parametrize("mu", [0.1, "optimal"])
     def test_sarg04_rate_at_builds_one_tally(self, gys, monkeypatch, mu):
