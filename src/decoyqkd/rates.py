@@ -66,7 +66,7 @@ def rate_bb84_decoy(signal_tally: ObservedTally, bounds: PhotonBounds, f_ec: flo
 
 
 #: untagged_fraction takes the tagged probability from its series below this mu.
-_SERIES_MU = 1e-5
+_SERIES_MU = 5e-4
 
 
 def untagged_fraction(signal_tally: ObservedTally, mu: float) -> float:
@@ -80,17 +80,17 @@ def untagged_fraction(signal_tally: ObservedTally, mu: float) -> float:
     Omega can go negative under heavy loss, in which case no detection can
     be attributed to an untagged pulse.
 
-    Below mu = 1e-5 the tagged probability, about mu^3/6, cancels to
-    round-off in that form, so it is taken from the series
-    e^(-mu) mu^3/6 (1 + mu/4 + mu^2/20), whose first omitted term is
-    mu^3/120 of it.
+    Below mu = 5e-4 the tagged probability, about mu^3/6, cancels in that
+    form to a relative error above 1e-5, so it is taken from the series
+    e^(-mu) mu^3/6 (1 + mu/4 + mu^2/20 + mu^3/120 + mu^4/840), whose first
+    omitted term is mu^5/6720 of it.
     """
     if np.count_nonzero(signal_tally.gain <= 0):
         raise ValueError("untagged fraction is undefined at zero gain")
     decay = np.exp(-mu)
     tagged = np.where(
         mu < _SERIES_MU,
-        decay * mu**3 / 6.0 * (1.0 + mu / 4.0 + mu**2 / 20.0),
+        decay * mu**3 / 6.0 * (1.0 + mu / 4.0 + mu**2 / 20.0 + mu**3 / 120.0 + mu**4 / 840.0),
         1.0 - (1.0 + mu + mu**2 / 2.0) * decay,
     )
     return 1.0 - tagged / signal_tally.gain

@@ -135,6 +135,21 @@ class TestUntaggedFraction:
         )
 
 
+    @pytest.mark.parametrize("mu", [1.01e-5, 3e-5, 1e-4, 4.9e-4])
+    def test_series_range_against_mpmath(self, mu):
+        # the closed form is off by 29% at 1.01e-5 and 1e-5 relative near 5e-4;
+        # the gain is twice the tagged probability, so Omega is about 1/2
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        m = mpmath.mpf(mu)
+        tagged = 1 - (1 + m + m**2 / 2) * mpmath.exp(-m)
+        gain = float(2 * tagged)
+        expected = float(1 - tagged / mpmath.mpf(gain))
+        assert untagged_fraction(ObservedTally(mu, gain, 0.1), mu) == pytest.approx(
+            expected, rel=1e-12
+        )
+
+
 class TestRateSarg04Worst:
     def test_untagged_term_dropped_when_omega_nonpositive(self):
         signal = ObservedTally(0.3, 1e-5, 0.1)
