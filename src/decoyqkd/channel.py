@@ -133,8 +133,8 @@ def poisson_weight(mu: float, n: int) -> float:
 
     P_n(mu) = mu^n e^(-mu) / n!
     """
-    if mu < 0:
-        raise ParameterError("mean photon number must be >= 0")
+    if not 0 <= mu <= sys.float_info.max:
+        raise ParameterError("mean photon number must be finite and >= 0")
     if n < 0 or n != int(n):
         raise ParameterError("photon count must be a non-negative integer")
     n = int(n)

@@ -50,8 +50,9 @@ class TestPoissonWeight:
         assert 1 - total < mpmath.mpf("1e-30")
 
     def test_negative_mu_rejected(self):
-        with pytest.raises(ParameterError):
-            poisson_weight(-0.1, 0)
+        for mu in (-0.1, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                poisson_weight(mu, 0)
 
     def test_negative_n_rejected(self):
         with pytest.raises(ParameterError):
