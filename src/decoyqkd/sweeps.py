@@ -118,7 +118,7 @@ class SweepSpec:
 
     ``mu`` is either a fixed signal intensity or ``"optimal"`` to re-solve
     the optimal intensity at every distance (sarg04-no-decoy only).
-    ``nu3`` is the weakest decoy of the auto-constructed decoy set.
+    ``nu3``, finite, is the weakest decoy of the auto-constructed decoy set.
     """
 
     protocol: str
@@ -132,6 +132,8 @@ class SweepSpec:
     def __post_init__(self):
         _check_request(self.protocol, self.mu)
         _grid_points(self.start_km, self.stop_km, self.step_km)
+        if not math.isfinite(self.nu3):
+            raise ValueError(f"nu3 must be finite, got {self.nu3}")
 
 
 def rate_at(

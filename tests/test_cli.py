@@ -203,6 +203,10 @@ class TestRun:
             ["--protocol", "bb84-decoy", "--mu", "800"],
             ["--protocol", "nonorthogonal-decoy", "--mu", "1e155"],
             ["--protocol", "sarg04-no-decoy", "--mu", "1e300"],
+            # a non-finite nu3, also where the protocol takes no decoys
+            ["--nu3", "nan"],
+            ["--nu3", "inf"],
+            ["--protocol", "sarg04-no-decoy", "--nu3", "nan"],
         ):
             capsys.readouterr()
             assert run_cli(args + ["--out", str(tmp_path)]) == EXIT_CONFIG, args
