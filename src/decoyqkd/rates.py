@@ -81,7 +81,7 @@ def untagged_fraction(signal_tally: ObservedTally, mu: float) -> float:
     be attributed to an untagged pulse.
 
     Below mu = 5e-4 the tagged probability, about mu^3/6, cancels in that
-    form to a relative error above 1e-5, so it is taken from the series
+    form to a relative error of 1e-5 or worse, so it is taken from the series
     e^(-mu) mu^3/6 (1 + mu/4 + mu^2/20 + mu^3/120 + mu^4/840), whose first
     omitted term is mu^5/6720 of it.
     """

@@ -121,33 +121,19 @@ class TestUntaggedFraction:
             untagged_fraction(ObservedTally(0.3, 0.0, 0.0), 0.3)
 
     def test_weak_source_against_mpmath(self):
-        # 1 - (1 + mu + mu^2/2) e^(-mu) cancels to round-off here; the gain is
-        # that of a dark-free link at the optimal mu = sqrt(2 eta), about mu^3/2
+        # 1 - (1 + mu + mu^2/2) e^(-mu) cancels to round-off at 1e-7, is 29% off at
+        # 1.01e-5 and 1e-6 off at 4.9e-4; the gain is that of a dark-free link at
+        # the optimal mu = sqrt(2 eta), about mu^3/2
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 50
-        mu = 1e-7
-        gain = mu**3 / 2
-        m = mpmath.mpf(mu)
-        tagged = 1 - (1 + m + m**2 / 2) * mpmath.exp(-m)
-        expected = float(1 - tagged / mpmath.mpf(gain))
-        assert untagged_fraction(ObservedTally(mu, gain, 0.1), mu) == pytest.approx(
-            expected, rel=1e-12
-        )
-
-
-    @pytest.mark.parametrize("mu", [1.01e-5, 3e-5, 1e-4, 4.9e-4])
-    def test_series_range_against_mpmath(self, mu):
-        # the closed form is off by 29% at 1.01e-5 and 1e-5 relative near 5e-4;
-        # the gain is twice the tagged probability, so Omega is about 1/2
-        mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 50
-        m = mpmath.mpf(mu)
-        tagged = 1 - (1 + m + m**2 / 2) * mpmath.exp(-m)
-        gain = float(2 * tagged)
-        expected = float(1 - tagged / mpmath.mpf(gain))
-        assert untagged_fraction(ObservedTally(mu, gain, 0.1), mu) == pytest.approx(
-            expected, rel=1e-12
-        )
+        for mu in (1e-7, 1.01e-5, 3e-5, 1e-4, 4.9e-4):
+            gain = mu**3 / 2
+            m = mpmath.mpf(mu)
+            tagged = 1 - (1 + m + m**2 / 2) * mpmath.exp(-m)
+            expected = float(1 - tagged / mpmath.mpf(gain))
+            assert untagged_fraction(ObservedTally(mu, gain, 0.1), mu) == pytest.approx(
+                expected, rel=1e-12
+            ), mu
 
 
 class TestRateSarg04Worst:
