@@ -88,19 +88,17 @@ class InequalityReport:
     lemma1_max_excess: float
     lemma2_max_excess: float
     counterexample_excess: float
-    grid_size: int
-    i_max: int
 
     @property
     def all_hold(self) -> bool:
         return self.lemma1_max_excess <= 0 and self.lemma2_max_excess <= 0
 
 
-def verify_bound_inequalities(grid_size: int = 100, i_max: int = 10) -> InequalityReport:
+def verify_bound_inequalities(grid_size: int = 100) -> InequalityReport:
     """Grid-check the inequalities the yield estimates rest on.
 
-    Lemma 1: a^i - b^i <= a^2 - b^2 for 0 < b < a <= 2/3 and i in {2..i_max}.
-    Lemma 2: a^i - b^i <= a^3 - b^3 for 0 < b < a <= 3/4 and i in {3..i_max}.
+    Lemma 1: a^i - b^i <= a^2 - b^2 for 0 < b < a <= 2/3 and i in {2..10}.
+    Lemma 2: a^i - b^i <= a^3 - b^3 for 0 < b < a <= 3/4 and i in {3..10}.
 
     Reports the largest value of (a^i - b^i) - (a^p - b^p) seen on each
     grid (non-positive means the lemma holds), together with the excess
@@ -115,7 +113,7 @@ def verify_bound_inequalities(grid_size: int = 100, i_max: int = 10) -> Inequali
         mask = bb < aa
         worst = -np.inf
         base = aa**power - bb**power
-        for i in range(i_lo, i_max + 1):
+        for i in range(i_lo, 10 + 1):
             excess = (aa**i - bb**i) - base
             worst = max(worst, float(excess[mask].max()))
         return worst
@@ -126,6 +124,4 @@ def verify_bound_inequalities(grid_size: int = 100, i_max: int = 10) -> Inequali
         lemma1_max_excess=max_excess(2.0 / 3.0, 2, 2),
         lemma2_max_excess=max_excess(0.75, 3, 3),
         counterexample_excess=counterexample,
-        grid_size=grid_size,
-        i_max=i_max,
     )

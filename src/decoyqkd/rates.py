@@ -69,11 +69,12 @@ def rate_bb84_decoy(signal_tally: ObservedTally, bounds: PhotonBounds, f_ec: flo
 _SERIES_MU = 5e-4
 
 
-def untagged_fraction(signal_tally: ObservedTally, mu: float) -> float:
+def untagged_fraction(signal_tally: ObservedTally) -> float:
     """Worst-case fraction of detections from pulses with at most two photons.
 
-    Every pulse carrying three or more photons (probability
-    1 - (1 + mu + mu^2/2) e^(-mu)) is assumed to produce a detection, so
+    mu is the tally's intensity. Every pulse carrying three or more photons
+    (probability 1 - (1 + mu + mu^2/2) e^(-mu)) is assumed to produce a
+    detection, so
 
         Omega = 1 - [1 - (1 + mu + mu^2/2) e^(-mu)] / Q_mu.
 
@@ -87,6 +88,7 @@ def untagged_fraction(signal_tally: ObservedTally, mu: float) -> float:
     """
     if np.count_nonzero(signal_tally.gain <= 0):
         raise ValueError("untagged fraction is undefined at zero gain")
+    mu = signal_tally.intensity
     decay = np.exp(-mu)
     tagged = np.where(
         mu < _SERIES_MU,

@@ -98,9 +98,9 @@ def _grid_points(start_km: float, stop_km: float, step_km: float) -> int:
     return int(span) + 1
 
 
-def _check_request(protocol: str, mu: Union[float, str]) -> None:
-    """ValueError unless ``protocol`` is known and ``mu`` is an intensity in
-    (0, MAX_MU], or ``"optimal"`` for sarg04-no-decoy."""
+def _check_request(protocol: str, mu: Union[float, str], nu3: float) -> None:
+    """ValueError unless ``protocol`` is known, ``mu`` is an intensity in
+    (0, MAX_MU] or ``"optimal"`` for sarg04-no-decoy, and ``nu3`` is finite."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     if isinstance(mu, str):
@@ -110,6 +110,8 @@ def _check_request(protocol: str, mu: Union[float, str]) -> None:
             raise ValueError("per-distance optimal mu is only defined for sarg04-no-decoy")
     elif not 0 < mu <= MAX_MU:
         raise ValueError(f"mu must be > 0 and <= {MAX_MU:g}, got {mu}")
+    if not math.isfinite(nu3):
+        raise ValueError(f"nu3 must be finite, got {nu3}")
 
 
 @dataclass(frozen=True)
@@ -130,10 +132,8 @@ class SweepSpec:
     nu3: float = DEFAULT_NU3
 
     def __post_init__(self):
-        _check_request(self.protocol, self.mu)
+        _check_request(self.protocol, self.mu, self.nu3)
         _grid_points(self.start_km, self.stop_km, self.step_km)
-        if not math.isfinite(self.nu3):
-            raise ValueError(f"nu3 must be finite, got {self.nu3}")
 
 
 def rate_at(
@@ -148,7 +148,7 @@ def rate_at(
     For an array of distances the returned point holds arrays of that shape.
     A number is evaluated as a one-element array, with the same arithmetic.
     """
-    _check_request(protocol, mu)
+    _check_request(protocol, mu, nu3)
     distances = np.atleast_1d(np.asarray(distance_km, dtype=float))
     params = channel.at_distance(distances)
     if protocol in DECOY_RATES:
@@ -164,7 +164,7 @@ def rate_at(
             mu = np.where(arrives, optimal_mu_sarg04(np.where(arrives, eta, 1.0)), 0.0)
         signal = honest_tally(mu, params)
         q0 = params.y0 * np.exp(-mu)
-        rate = rate_sarg04_worst(signal, q0, untagged_fraction(signal, mu))
+        rate = rate_sarg04_worst(signal, q0, untagged_fraction(signal))
     mus = np.full(distances.shape, mu)
     if np.ndim(distance_km) == 0:
         return KeyRatePoint(protocol, distance_km, float(mus[0]), float(rate[0]))
@@ -227,7 +227,7 @@ def max_secure_distance(
 def exact_ceiling_km(protocol: str, mu: float, channel: ChannelParams) -> float:
     """Cutoff of a decoy protocol's rate with ``exact_bounds`` in place of the
     decoy bounds: no conservative cutoff lies beyond it, up to RESOLUTION_KM."""
-    _check_request(protocol, mu)
+    _check_request(protocol, mu, DEFAULT_NU3)
     if protocol not in DECOY_RATES:
         raise ValueError(f"the exact-statistics ceiling needs a decoy protocol, got {protocol!r}")
 

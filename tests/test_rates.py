@@ -93,7 +93,7 @@ class TestUntaggedFraction:
         eta = transmittance(gys.at_distance(0))
         mu = math.sqrt(2 * eta)
         signal = honest_tally(mu, gys)
-        omega = untagged_fraction(signal, mu)
+        omega = untagged_fraction(signal)
         assert 0 < omega < 1
 
     def test_negative_under_heavy_loss(self, gys):
@@ -102,23 +102,23 @@ class TestUntaggedFraction:
         params = gys.at_distance(300)
         mu = 0.3
         signal = honest_tally(mu, params)
-        assert untagged_fraction(signal, mu) < 0
+        assert untagged_fraction(signal) < 0
 
     def test_boundary_when_gain_equals_tagged_probability(self):
         mu = 0.3
         tagged = 1 - (1 + mu + mu**2 / 2) * math.exp(-mu)
         signal = ObservedTally(mu, tagged, 0.1)
-        assert untagged_fraction(signal, mu) == pytest.approx(0.0, abs=1e-12)
+        assert untagged_fraction(signal) == pytest.approx(0.0, abs=1e-12)
 
     def test_approaches_one_for_weak_source(self):
         # multiphoton probability ~ mu^3/6 vanishes much faster than any
         # fixed observed gain
         signal = ObservedTally(1e-4, 0.01, 0.1)
-        assert untagged_fraction(signal, 1e-4) == pytest.approx(1.0, abs=1e-8)
+        assert untagged_fraction(signal) == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_gain_rejected(self):
         with pytest.raises(ValueError):
-            untagged_fraction(ObservedTally(0.3, 0.0, 0.0), 0.3)
+            untagged_fraction(ObservedTally(0.3, 0.0, 0.0))
 
     def test_weak_source_against_mpmath(self):
         # 1 - (1 + mu + mu^2/2) e^(-mu) cancels to round-off at 1e-7, is 29% off at
@@ -131,7 +131,7 @@ class TestUntaggedFraction:
             m = mpmath.mpf(mu)
             tagged = 1 - (1 + m + m**2 / 2) * mpmath.exp(-m)
             expected = float(1 - tagged / mpmath.mpf(gain))
-            assert untagged_fraction(ObservedTally(mu, gain, 0.1), mu) == pytest.approx(
+            assert untagged_fraction(ObservedTally(mu, gain, 0.1)) == pytest.approx(
                 expected, rel=1e-12
             ), mu
 

@@ -222,7 +222,7 @@ class TestMaxSecureDistance:
 
         def untagged_mass(mu):
             signal = honest_tally(mu, params)
-            return untagged_fraction(signal, mu) * signal.gain
+            return untagged_fraction(signal) * signal.gain
 
         best = untagged_mass(rate_at("sarg04-no-decoy", "optimal", gys, 50.0).mu)
         for mu in np.linspace(0.01, 0.5, 50):
