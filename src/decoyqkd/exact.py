@@ -76,6 +76,8 @@ def reconstruct_gain(
     Must agree with the closed-form channel model to within numerical
     round-off.
     """
+    if n_max < 0:
+        raise ParameterError(f"n_max must be >= 0, got {n_max}")
     stats = [exact_stats(n, mu, params) for n in range(n_max + 1)]
     gain = np.sum([s.gain for s in stats], axis=0)
     return gain, np.sum([s.gain * s.error_rate for s in stats], axis=0) / gain
@@ -103,8 +105,11 @@ def verify_bound_inequalities(grid_size: int = 100) -> InequalityReport:
     Reports the largest value of (a^i - b^i) - (a^p - b^p) seen on each
     grid (non-positive means the lemma holds), together with the excess
     for the out-of-domain point a=0.9, b=0.89, i=3, which violates the
-    quadratic comparison and shows the domain cap is load-bearing.
+    quadratic comparison and shows the domain cap is load-bearing. Each grid
+    has ``grid_size`` >= 2 points per axis.
     """
+    if grid_size < 2:
+        raise ParameterError(f"grid_size must be >= 2, got {grid_size}")
 
     def max_excess(limit: float, power: int, i_lo: int) -> float:
         a = np.linspace(limit / grid_size, limit, grid_size)

@@ -125,6 +125,10 @@ class TestReconstructGain:
         assert gain == pytest.approx(honest_tally(0.3, params).gain, abs=1e-12)
         assert qber == pytest.approx(0.033, rel=1e-9)
 
+    def test_negative_n_max_rejected(self, gys):
+        with pytest.raises(ParameterError, match="n_max must be >= 0"):
+            reconstruct_gain(0.3, gys, n_max=-1)
+
 
 class TestVerifyBoundInequalities:
     def test_lemmas_hold_on_their_domains(self):
@@ -146,3 +150,8 @@ class TestVerifyBoundInequalities:
     def test_denser_grid_agrees(self):
         report = verify_bound_inequalities(grid_size=150)
         assert report.all_hold
+
+    def test_grid_of_fewer_than_two_points_rejected(self):
+        for grid_size in (1, 0, -5):
+            with pytest.raises(ParameterError, match="grid_size must be >= 2"):
+                verify_bound_inequalities(grid_size=grid_size)

@@ -12,12 +12,18 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from decoyqkd import (  # noqa: E402
     DEFAULT_NU3,
     ChannelParams,
+    NeverSecureError,
+    ScanLimitError,
+    UndefinedQberError,
     construct_intensity_set,
     estimate_photon_bounds,
     exact_bounds,
+    exact_ceiling_km,
+    max_secure_distance,
     synthesize_tallies,
     transmittance,
 )
+from decoyqkd.sweeps import RESOLUTION_KM  # noqa: E402
 
 #: -log10 of the smallest transmittance eta at which eta nu3 is still a positive float.
 EDGE_DECADES = -math.log10(5e-324 / DEFAULT_NU3)
@@ -75,3 +81,52 @@ def test_bounds_are_conservative(mu, spread, data):
     assert bounds.e1_upper >= exact.e1_upper
     assert bounds.y2_lower <= exact.y2_lower
     assert bounds.e2_upper >= exact.e2_upper
+
+
+def log_uniform(low, high):
+    return st.floats(math.log(low), math.log(high)).map(math.exp)
+
+
+@st.composite
+def fiber_links(draw):
+    """A link at distance 0 with its loss, efficiency, background and errors
+    drawn over the ranges of the windowed-scan test; some draws have no dark
+    counts."""
+    return ChannelParams(
+        alpha_db_per_km=draw(st.floats(0.15, 0.4) | st.floats(0.1, 4.0)),
+        distance_km=0.0,
+        eta_bob=draw(log_uniform(1e-3, 1.0)),
+        y0=draw(st.just(0.0) | log_uniform(1e-8, 1e-3)),
+        e_det=draw(st.floats(0.0, 0.1)),
+        f_ec=draw(st.floats(1.0, 1.5)),
+    )
+
+
+def cutoff_outcome(search):
+    """The cutoff in km, or the NeverSecureError or ScanLimitError class it raised."""
+    try:
+        return search()
+    except (NeverSecureError, ScanLimitError) as exc:
+        return type(exc)
+    except UndefinedQberError:
+        assume(False)
+
+
+@settings(max_examples=80)
+@given(
+    protocol=st.sampled_from(["bb84-decoy", "nonorthogonal-decoy"]),
+    mu=st.floats(0.02, 0.8),
+    spread=st.floats(0.0, 1.0),
+    channel=fiber_links(),
+)
+def test_no_cutoff_beyond_its_exact_statistics_ceiling(protocol, mu, spread, channel):
+    # nu3 log-uniform in [1e-6 mu, 0.2 mu]
+    nu3 = 1e-6 * mu * 2e5**spread
+    cutoff = cutoff_outcome(lambda: max_secure_distance(protocol, mu, channel, nu3))
+    ceiling = cutoff_outcome(lambda: exact_ceiling_km(protocol, mu, channel))
+    if isinstance(cutoff, float) and isinstance(ceiling, float):
+        assert cutoff <= ceiling + RESOLUTION_KM
+    if ceiling is NeverSecureError:
+        assert cutoff is NeverSecureError
+    if cutoff is ScanLimitError:
+        assert ceiling is ScanLimitError

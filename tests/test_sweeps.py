@@ -126,6 +126,16 @@ class TestSweep:
         with pytest.raises(ValueError):
             max_secure_distance("bb84-decoy", "optimal", gys)
 
+    @pytest.mark.parametrize("nu3", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_non_finite_nu3_rejected_for_every_protocol(self, gys, protocol, nu3):
+        # also for sarg04-no-decoy, which takes no decoys
+        mu = 0.1 if protocol == "sarg04-no-decoy" else 0.48
+        with pytest.raises(ValueError, match="nu3 must be finite"):
+            rate_at(protocol, mu, gys, 10.0, nu3=nu3)
+        with pytest.raises(ValueError, match="nu3 must be finite"):
+            max_secure_distance(protocol, mu, gys, nu3=nu3)
+
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_mu_string_other_than_optimal_rejected(self, gys, protocol):
         for mu in ("Optimal", "0.3", ""):
