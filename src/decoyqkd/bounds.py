@@ -10,16 +10,16 @@ e1U >= e1, Y2L <= Y2, e2U >= e2. An ``IntensitySet`` meets the intensity
 constraints the bounds rest on: it checks them when it is built.
 
 The tallies are positional: one ``ObservedTally`` with the classes vacuum,
-nu3, nu2, nu1, mu on axis 0. The bounds are elementwise in distance:
-tallies whose gains and QBERs are arrays over distances give bounds of the
-same shape, and a clamp flag is raised when the clamp fires at any element.
+nu3, nu2, nu1, mu on axis 0, which one (2, 5) coefficient matrix maps to
+Y1L and Y2L. The bounds are elementwise in distance, with arrays over
+distances in and out, and ``PhotonBounds.clamps`` marks each clamp per element.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,39 +112,22 @@ class IntensitySet:
             raise IntensityConstraintError("; ".join(problems))
 
 
-def _clamp(n: int, raw_yield, error_weight, scale: float):
-    """Clamp the n-photon yield bound into [0, 1] and its error-rate bound into [0, cap].
-
-    e_nU = error_weight / (Y_nL scale); cap is 1/2 for n = 1 and 1 for n = 2, and a
-    vacuous Y_nL <= 0 gives e_nU = cap. A positive Y_nL whose product with scale
-    underflows to 0 bounds nothing either: its e_nU is the cap, flagged as clamped.
-    Returns (Y_nL, e_nU, flags).
-    """
-    cap, cap_name = (E_VACUUM, "1/2") if n == 1 else (1.0, "1")
-    vacuous = raw_yield <= 0
-    y = np.where(vacuous, 0.0, np.minimum(raw_yield, 1.0))
-    denominator = y * scale
-    # NaN at the vacuous elements keeps them out of the error-rate flags; inf at
-    # an underflowed denominator raises the clamp flag
-    raw_error = np.where(vacuous, np.nan, np.inf)
-    np.divide(error_weight, denominator, out=raw_error, where=denominator != 0)
-    error = np.where(vacuous, cap, np.clip(raw_error, 0.0, cap))
-    flags = tuple(
-        name
-        for mask, name in (
-            (vacuous, f"{('single', 'two')[n - 1]}-photon bound vacuous (Y{n}L <= 0)"),
-            (raw_yield > 1.0, f"Y{n}L clamped to 1"),
-            (raw_error > cap, f"e{n}U clamped to {cap_name}"),
-            (raw_error < 0, f"e{n}U clamped to 0"),
-        )
-        if np.count_nonzero(mask)
-    )
-    return y[()], error[()], flags
+_CLAMP_NAMES = (
+    "single-photon bound vacuous (Y1L <= 0)",
+    "Y1L clamped to 1",
+    "e1U clamped to 1/2",
+    "e1U clamped to 0",
+    "two-photon bound vacuous (Y2L <= 0)",
+    "Y2L clamped to 1",
+    "e2U clamped to 1",
+    "e2U clamped to 0",
+)
 
 
 @dataclass(frozen=True)
 class PhotonBounds:
-    """Estimated vacuum, single-photon, and two-photon contributions."""
+    """Estimated vacuum, single-photon, and two-photon contributions, with the
+    ``clamps`` that ``estimate_photon_bounds`` applied (None for ``exact_bounds``)."""
 
     y0: float
     e0: float
@@ -155,7 +138,25 @@ class PhotonBounds:
     y2_lower: float
     q2_lower: float
     e2_upper: float
-    flags: tuple[str, ...] = ()
+    clamps: np.ndarray | None = field(default=None, compare=False)
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """The name of each clamp that fired at any distance, in the order of ``clamps``."""
+        fired = () if self.clamps is None else self.clamps.reshape(8, -1).any(axis=1)
+        return tuple(name for name, hit in zip(_CLAMP_NAMES, fired) if hit)
+
+
+def _coefficients(s: IntensitySet) -> np.ndarray:
+    """The (2, 5) map from the five gains to Y1L and Y2L, e^nu and denominators folded in."""
+    mu, nu1, nu2, nu3 = s.mu, s.nu1, s.nu2, s.nu3
+    signal_1, signal_2 = nu2**2 - nu3**2, 2.0 * (nu1 - nu2)
+    numerators = np.array([
+        [signal_1, -(mu**2), mu**2, 0.0, -signal_1],
+        [signal_2, 0.0, -2.0 * mu, 2.0 * mu, -signal_2],
+    ])
+    boost = np.array([1.0, math.exp(nu3), math.exp(nu2), math.exp(nu1), math.exp(mu)])
+    return numerators * boost / np.array(_denominators(s))[:, None]
 
 
 def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) -> PhotonBounds:
@@ -186,11 +187,14 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
         Q2L = Y2L mu^2 e^(-mu) / 2
         e2U = [2 E_nu3 Q_nu3 e^nu3 - 2 e0 Y0] / (Y2L nu3^2)
 
-    A non-positive Y1L or Y2L is clamped to zero (no extractable contribution)
-    and flagged; its error bound is then the cap. e1U is clamped into [0, 1/2]
-    and e2U into [0, 1], and each clamp is flagged. e2U inherits the whole nu3
-    error budget (including the single-photon share), so it is loose and grows
-    like 1/nu3^2 as nu3 shrinks.
+    Both yield bounds are one (2, 5) coefficient matrix applied to the five
+    gains, with e^nu and the denominators folded into its rows. A non-positive
+    Y1L or Y2L is clamped to zero (no extractable contribution); its error
+    bound is then the cap. e1U is clamped into [0, 1/2] and e2U into [0, 1].
+    ``clamps``, of shape (2, 4, *distance shape), marks per photon number and
+    element where Y_nL was vacuous, Y_nL was clamped to 1, e_nU to its cap,
+    and e_nU to 0. e2U inherits the whole nu3 error budget (including the
+    single-photon share), so it is loose and grows like 1/nu3^2 as nu3 shrinks.
     """
     if not isinstance(intensities, IntensitySet):
         raise TypeError(f"intensities must be an IntensitySet, got {type(intensities).__name__}")
@@ -202,33 +206,27 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
             f"tally intensities {observed} do not match the set's vacuum, nu3, nu2, nu1, mu "
             f"{expected}"
         )
-    y0, q_nu3, q_nu2, q_nu1, q_mu = tallies.gain
-    e_nu3, e0 = tallies.qber[1], E_VACUUM
-    mu, nu1, nu2, nu3 = s.mu, s.nu1, s.nu2, s.nu3
-    signal_excess = q_mu * math.exp(mu) - y0
-    denominator_1, denominator_2 = _denominators(s)
-
-    numerator = mu**2 * (q_nu2 * math.exp(nu2) - q_nu3 * math.exp(nu3)) - (
-        nu2**2 - nu3**2
-    ) * signal_excess
-    error_weight = e_nu3 * q_nu3 * math.exp(nu3) - e0 * y0
-    y1, e1, flags_1 = _clamp(1, numerator / denominator_1, error_weight, nu3)
-
-    numerator = 2.0 * mu * (q_nu1 * math.exp(nu1) - q_nu2 * math.exp(nu2)) - 2.0 * (
-        nu1 - nu2
-    ) * signal_excess
-    error_weight = 2.0 * e_nu3 * q_nu3 * math.exp(nu3) - 2.0 * e0 * y0
-    y2, e2, flags_2 = _clamp(2, numerator / denominator_2, error_weight, nu3**2)
-
+    y0 = tallies.gain[0]
+    # photon numbers 1 and 2 on axis 0, broadcast against the distances
+    column = (2,) + (1,) * np.ndim(y0)
+    coefficients = _coefficients(s).reshape((2, 5) + column[1:])
+    # class by class in a fixed order: a BLAS product rounds differently at each width
+    raw_yield = sum(coefficients[:, i] * gain for i, gain in enumerate(tallies.gain))
+    error_weight = tallies.qber[1] * tallies.gain[1] * math.exp(s.nu3) - E_VACUUM * y0
+    weight = np.array((error_weight, 2.0 * error_weight))
+    scale, cap = np.reshape((s.nu3, s.nu3**2), column), np.reshape((E_VACUUM, 1.0), column)
+    vacuous = raw_yield <= 0
+    y = np.clip(raw_yield, 0.0, 1.0)
+    denominator = y * scale
+    # e_nU is the cap where Y_nL, or Y_nL times the scale, is 0: it bounds nothing
+    raw_error = np.full(denominator.shape, np.inf)
+    np.divide(weight, denominator, out=raw_error, where=denominator != 0)
+    error = np.clip(raw_error, 0.0, cap)
+    clamps = np.array((vacuous, raw_yield > 1.0, (raw_error > cap) & ~vacuous, raw_error < 0))
+    (y1, y2), (e1, e2) = y, error
     return PhotonBounds(
-        y0,
-        e0,
-        y0 * math.exp(-mu),
-        y1,
-        e1,
-        y1 * mu * math.exp(-mu),
-        y2,
-        y2 * mu**2 * math.exp(-mu) / 2.0,
-        e2,
-        flags_1 + flags_2,
+        y0, E_VACUUM, y0 * math.exp(-s.mu),
+        y1, e1, y1 * s.mu * math.exp(-s.mu),
+        y2, y2 * s.mu**2 * math.exp(-s.mu) / 2.0, e2,
+        clamps.swapaxes(0, 1),  # built kind first: np.array is quicker than np.stack
     )

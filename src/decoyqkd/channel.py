@@ -150,7 +150,8 @@ def transmittance(params: ChannelParams) -> float:
     eta = eta_bob * 10^(-alpha * distance / 10)
     """
     # np.power: ** on a Python float can round differently from the array loop
-    return params.eta_bob * np.power(10.0, -params.alpha_db_per_km * params.distance_km / 10.0)
+    with np.errstate(over="ignore"):  # alpha * distance above ~1.8e308: eta = 0 is the limit
+        return params.eta_bob * np.power(10.0, -params.alpha_db_per_km * params.distance_km / 10.0)
 
 
 def honest_tally(intensity: float, params: ChannelParams) -> ObservedTally:

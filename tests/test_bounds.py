@@ -182,6 +182,14 @@ class TestBoundSinglePhoton:
             "e2U clamped to 1",
             "e2U clamped to 0",
         )
+        # per column, photon numbers 1 and 2, each (vacuous, Y clamped to 1,
+        # e clamped to the cap, e clamped to 0)
+        assert result.clamps.astype(int).transpose(2, 0, 1).tolist() == [
+            [[1, 0, 0, 0], [1, 0, 0, 0]],
+            [[0, 1, 0, 1], [1, 0, 0, 0]],
+            [[0, 1, 0, 1], [0, 1, 0, 1]],
+            [[0, 0, 1, 0], [0, 1, 1, 0]],
+        ]
         assert result.y1_lower[:2].tolist() == [0.0, 1.0]
         assert result.e1_upper.tolist() == [0.5, 0.0, 0.0, 0.5]
         assert result.y2_lower[:3].tolist() == [0.0, 0.0, 1.0]
@@ -289,3 +297,30 @@ class TestEstimatePhotonBounds:
         look_alike = types.SimpleNamespace(mu=s.mu, nu1=s.nu1, nu2=s.nu2, nu3=s.nu3)
         with pytest.raises(TypeError, match="IntensitySet"):
             estimate_photon_bounds(synthesize_tallies(s, gys), look_alike)
+
+    @pytest.mark.parametrize("mu", [0.48, 0.30])
+    def test_yield_bounds_within_round_off_of_exact_arithmetic(self, gys, mu):
+        # the same combinations of the same float tallies and intensities at
+        # 100 digits; a forward error of a few eps times the sum of the
+        # numerator's term magnitudes over the denominator is all round-off
+        mpmath = pytest.importorskip("mpmath")
+        s = construct_intensity_set(mu)
+        tallies = synthesize_tallies(s, gys.at_distance(np.arange(0.0, 251.0)))
+        bounds = estimate_photon_bounds(tallies, s)
+        with mpmath.workdps(100):
+            m, nu1, nu2, nu3 = (mpmath.mpf(x) for x in (s.mu, s.nu1, s.nu2, s.nu3))
+            boost = [mpmath.exp(x) for x in (0, nu3, nu2, nu1, m)]
+            signal_1, signal_2 = nu2**2 - nu3**2, 2 * (nu1 - nu2)
+            combinations = (
+                ("Y1L", [signal_1, -(m**2), m**2, 0, -signal_1], m * (nu2 - nu3) * (m - nu2 - nu3)),
+                ("Y2L", [signal_2, 0, -2 * m, 2 * m, -signal_2], m * (nu1 - nu2) * (nu1 + nu2 - m)),
+            )
+            for (name, coefficients, denominator), values in zip(
+                combinations, (bounds.y1_lower, bounds.y2_lower)
+            ):
+                for gains, value in zip(tallies.gain.T.tolist(), values.tolist()):
+                    terms = [c * b * g for c, b, g in zip(coefficients, boost, gains)]
+                    exact = mpmath.fsum(terms) / denominator
+                    if 0 < exact < 1:
+                        scale = np.finfo(float).eps * mpmath.fsum(map(abs, terms)) / denominator
+                        assert abs(value - exact) <= 4 * scale, (name, gains)

@@ -154,6 +154,7 @@ class TestRun:
             ["--distance", "0:2000:10"],
             ["--eta-bob", "1e-40"],
             ["--alpha", "4"],
+            ["--alpha", "1e308", "--distance", "0:300:10"],
             ["--alpha", "4", "--distance", "0:2000:10"],
         ):
             assert run_cli(args + ["--out", str(tmp_path)]) == EXIT_OK, args

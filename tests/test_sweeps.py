@@ -274,6 +274,7 @@ class TestDistanceArrays:
             point = estimate_photon_bounds(synthesize_tallies(s, gys.at_distance(d)), s)
             for field in fields:
                 assert getattr(grid, field)[i] == getattr(point, field), (field, d)
+            assert grid.clamps[..., i].tolist() == point.clamps.tolist(), d
             flags.update(point.flags)
         assert set(grid.flags) == flags
         assert "e1U clamped to 1/2" in flags and "e2U clamped to 1" in flags
