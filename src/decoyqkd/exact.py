@@ -21,9 +21,11 @@ import numpy as np
 from .bounds import PhotonBounds
 from .channel import ChannelParams, E_VACUUM, ParameterError, poisson_weight, transmittance
 
-#: Series truncation; for mu <= 1 the dropped Poisson tail is far below
-#: every tolerance used in this package.
-DEFAULT_N_MAX = 50
+#: Series truncation of reconstruct_gain (for mu <= 1 the dropped Poisson
+#: tail is far below every tolerance used in this package), and points per
+#: axis of each verify_bound_inequalities grid.
+N_MAX = 50
+GRID_SIZE = 100
 
 
 @dataclass(frozen=True)
@@ -66,19 +68,15 @@ def exact_bounds(mu: float, params: ChannelParams) -> PhotonBounds:
     )
 
 
-def reconstruct_gain(
-    mu: float, params: ChannelParams, n_max: int = DEFAULT_N_MAX
-) -> tuple[float, float]:
+def reconstruct_gain(mu: float, params: ChannelParams) -> tuple[float, float]:
     """Gain and QBER rebuilt from the per-photon-number series, elementwise in distance.
 
-    Q = sum_n P_n(mu) Y_n,  E = sum_n P_n(mu) Y_n e_n / Q.
+    Q = sum_n P_n(mu) Y_n,  E = sum_n P_n(mu) Y_n e_n / Q,  n = 0..N_MAX.
 
     Must agree with the closed-form channel model to within numerical
     round-off.
     """
-    if n_max < 0:
-        raise ParameterError(f"n_max must be >= 0, got {n_max}")
-    stats = [exact_stats(n, mu, params) for n in range(n_max + 1)]
+    stats = [exact_stats(n, mu, params) for n in range(N_MAX + 1)]
     gain = np.sum([s.gain for s in stats], axis=0)
     return gain, np.sum([s.gain * s.error_rate for s in stats], axis=0) / gain
 
@@ -96,23 +94,21 @@ class InequalityReport:
         return self.lemma1_max_excess <= 0 and self.lemma2_max_excess <= 0
 
 
-def verify_bound_inequalities(grid_size: int = 100) -> InequalityReport:
+def verify_bound_inequalities() -> InequalityReport:
     """Grid-check the inequalities the yield estimates rest on.
 
     Lemma 1: a^i - b^i <= a^2 - b^2 for 0 < b < a <= 2/3 and i in {2..10}.
     Lemma 2: a^i - b^i <= a^3 - b^3 for 0 < b < a <= 3/4 and i in {3..10}.
 
     Reports the largest value of (a^i - b^i) - (a^p - b^p) seen on each
-    grid (non-positive means the lemma holds), together with the excess
-    for the out-of-domain point a=0.9, b=0.89, i=3, which violates the
-    quadratic comparison and shows the domain cap is load-bearing. Each grid
-    has ``grid_size`` >= 2 points per axis.
+    grid of GRID_SIZE points per axis (non-positive means the lemma holds),
+    together with the excess for the out-of-domain point a=0.9, b=0.89,
+    i=3, which violates the quadratic comparison and shows the domain cap
+    is load-bearing.
     """
-    if grid_size < 2:
-        raise ParameterError(f"grid_size must be >= 2, got {grid_size}")
 
     def max_excess(limit: float, power: int, i_lo: int) -> float:
-        a = np.linspace(limit / grid_size, limit, grid_size)
+        a = np.linspace(limit / GRID_SIZE, limit, GRID_SIZE)
         b = a.copy()
         aa, bb = np.meshgrid(a, b, indexing="ij")
         mask = bb < aa

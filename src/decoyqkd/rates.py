@@ -95,7 +95,8 @@ def untagged_fraction(signal_tally: ObservedTally) -> float:
         decay * mu**3 / 6.0 * (1.0 + mu / 4.0 + mu**2 / 20.0 + mu**3 / 120.0 + mu**4 / 840.0),
         1.0 - (1.0 + mu + mu**2 / 2.0) * decay,
     )
-    return 1.0 - tagged / signal_tally.gain
+    with np.errstate(over="ignore"):  # a gain near the float floor: Omega = -inf is the limit
+        return 1.0 - tagged / signal_tally.gain
 
 
 def rate_sarg04_worst(signal_tally: ObservedTally, q0: float, omega: float) -> float:
@@ -110,8 +111,8 @@ def rate_sarg04_worst(signal_tally: ObservedTally, q0: float, omega: float) -> f
     q_mu = signal_tally.gain
     cost = q_mu * binary_entropy(signal_tally.qber)
     untagged = omega > 0
-    # the dropped elements divide by 1 and are then overwritten
-    capped = np.minimum(signal_tally.qber / np.where(untagged, omega, 1.0), 0.5)
+    omega = np.where(untagged, omega, 1.0)  # dropped ones, -inf too, are overwritten below
+    capped = np.minimum(signal_tally.qber / omega, 0.5)
     untagged_term = np.where(untagged, omega * q_mu * (1.0 - binary_entropy(capped)), 0.0)
     return 0.25 * (q0 + untagged_term - cost)
 
@@ -124,10 +125,12 @@ _NEWTON_STEPS = 5
 
 
 def optimal_mu_sarg04(eta: float) -> float:
-    """Signal intensity maximizing the worst-case no-decoy SARG04 rate.
+    """Signal intensity maximizing the untagged gain, for transmittance eta in [0, 1].
 
-    The optimum solves eta e^(-eta mu) = (1/2) mu^2 e^(-mu), elementwise in
-    eta; for eta << 1 the root approaches sqrt(2 eta). That is
+    The untagged gain Omega Q_mu = Y0 + 1 - e^(-eta mu) - P(n >= 3) is
+    largest where eta e^(-eta mu) = (1/2) mu^2 e^(-mu), elementwise in eta.
+    That root tracks the optimum of the worst-case no-decoy SARG04 rate only
+    for eta << 1, where it approaches sqrt(2 eta). It is
     mu = -W0(-k sqrt(2 eta)) / k with k = (1 - eta)/2 (Lambert W, principal
     branch; Corless et al. 1996), computed without W by Newton's method on
     the concave log form ln mu - k mu - ln sqrt(2 eta) = 0. From sqrt(2 eta)
@@ -135,29 +138,30 @@ def optimal_mu_sarg04(eta: float) -> float:
     residual to round-off on all of (0, 1].
 
     The root is then snapped to the midpoint of its cell of width
-    (2 - 1e-15) / 2^41 in (1e-15, 2). That is the value a bisection of
-    the interval to 1e-12 returns, up to the rounding of its midpoints (a
-    few ulps), so outputs recorded from such a bisection keep their
-    printed digits; the unsnapped root moves them. Below a
-    transmittance of about 5e-31 the root lies under 1e-15, where
-    mu^2 = 2 eta e^((1 - eta) mu) is sqrt(2 eta) to double precision.
+    (2 - 1e-15) / 2^41 in (1e-15, 2). That is the value a bisection of the
+    interval to 1e-12 returns, up to the rounding of its midpoints (a few
+    ulps), so outputs recorded from such a bisection keep their printed
+    digits; the unsnapped root moves them. Below a transmittance of about
+    5e-31 the root lies under 1e-15, where mu^2 = 2 eta e^((1 - eta) mu) is
+    sqrt(2 eta) to double precision: 0 at eta = 0, where no signal arrives.
     """
     eta = np.asarray(eta, dtype=float)
-    if not ((eta > 0) & (eta <= 1)).all():
-        raise ValueError(f"transmittance must be in (0, 1], got {eta}")
+    if not ((eta >= 0) & (eta <= 1)).all():
+        raise ValueError(f"transmittance must be in [0, 1], got {eta}")
     two_eta = 2.0 * eta
     lo = np.full(eta.shape, _MU_LO)
     # the residual eta e^(-eta mu) - (1/2) mu^2 e^(-mu), doubled, is negative
-    # at 1e-15 where the root lies below it
+    # at 1e-15 where the root lies below it; Newton solves for 1e-15 there
     tiny = two_eta * np.exp(-eta * lo) - lo**2 * np.exp(-lo) < 0
     k = 0.5 * (1.0 - eta)
-    mu = start = np.sqrt(two_eta)
+    root = np.sqrt(two_eta)
+    mu = start = np.where(tiny, lo, root)
     log_target = np.log(start)
     for _ in range(_NEWTON_STEPS):
         mu = mu - mu * (np.log(mu) - k * mu - log_target) / (1.0 - k * mu)
     # a root within round-off under 1e-15 still belongs to the first cell
     cell = np.maximum(np.floor((mu - _MU_LO) / _MU_CELL), 0.0)
-    return np.where(tiny, start, _MU_LO + (cell + 0.5) * _MU_CELL)[()]
+    return np.where(tiny, root, _MU_LO + (cell + 0.5) * _MU_CELL)[()]
 
 
 def rate_nonorthogonal_decoy(

@@ -158,10 +158,7 @@ def rate_at(
         rate = DECOY_RATES[protocol](tallies.row(-1), bounds, params.f_ec)
     else:
         if mu == OPTIMAL_MU:
-            # where the transmittance underflows to 0 no signal arrives: send none
-            eta = transmittance(params)
-            arrives = eta > 0
-            mu = np.where(arrives, optimal_mu_sarg04(np.where(arrives, eta, 1.0)), 0.0)
+            mu = optimal_mu_sarg04(transmittance(params))
         signal = honest_tally(mu, params)
         q0 = params.y0 * np.exp(-mu)
         rate = rate_sarg04_worst(signal, q0, untagged_fraction(signal))

@@ -3,7 +3,9 @@
 import math
 import sys
 import warnings
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -11,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from decoyqkd import (  # noqa: E402
     DEFAULT_NU3,
+    PROTOCOLS,
     ChannelParams,
     NeverSecureError,
     ScanLimitError,
@@ -20,10 +23,11 @@ from decoyqkd import (  # noqa: E402
     exact_bounds,
     exact_ceiling_km,
     max_secure_distance,
+    rate_at,
     synthesize_tallies,
     transmittance,
 )
-from decoyqkd.sweeps import RESOLUTION_KM  # noqa: E402
+from decoyqkd.sweeps import COARSE_STEP_KM, MAX_MU, RESOLUTION_KM, SCAN_LIMIT_KM  # noqa: E402
 
 #: -log10 of the smallest transmittance eta at which eta nu3 is still a positive float.
 EDGE_DECADES = -math.log10(5e-324 / DEFAULT_NU3)
@@ -130,3 +134,93 @@ def test_no_cutoff_beyond_its_exact_statistics_ceiling(protocol, mu, spread, cha
         assert cutoff is NeverSecureError
     if cutoff is ScanLimitError:
         assert ceiling is ScanLimitError
+
+
+@settings(max_examples=150)
+@given(
+    protocol=st.sampled_from(PROTOCOLS),
+    mu=st.floats(0.02, 0.8),
+    nu3_share=st.floats(1e-6, 0.2),
+    channel=fiber_links(),
+)
+def test_rate_crosses_zero_once(protocol, mu, nu3_share, channel):
+    # the cutoff search takes the first non-positive point of the coarse grid,
+    # and then of the lattice of the last secure step, as the end of the secure
+    # range: once the rate is non-positive there, it must stay so. Optimal mu
+    # is left out, for two reasons. Its root is snapped to a 2^-41 cell, which
+    # makes the sign flicker on links without dark counts. And where eta is
+    # near 1 the root maximizes the untagged gain, not the rate, so the rate
+    # can turn positive again a few km on (ROADMAP items 1b and 3).
+    nu3 = nu3_share * mu
+    grid = np.arange(0.0, SCAN_LIMIT_KM + COARSE_STEP_KM, COARSE_STEP_KM)
+    if channel.y0 == 0:  # past the underflow of eta nu3, a decoy class has no QBER
+        grid = grid[transmittance(channel.at_distance(grid)) * nu3 > 0]
+    secure = rate_at(protocol, mu, channel, grid, nu3).rate > 0
+    assert (secure[1:] <= secure[:-1]).all()
+    end = int(np.argmin(secure))
+    if secure[0] and not secure[end]:
+        steps = 2 ** math.ceil(math.log2(COARSE_STEP_KM / RESOLUTION_KM))
+        lattice = grid[end - 1] + np.arange(steps + 1) * (COARSE_STEP_KM / steps)
+        secure = rate_at(protocol, mu, channel, lattice, nu3).rate > 0
+        assert (secure[1:] <= secure[:-1]).all()
+
+
+#: Values at the edges of the float range and of each input's domain.
+EDGES = (
+    0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 100.0, 1e308,
+    math.inf, -math.inf, math.nan,
+)
+
+
+def edgy(*in_range):
+    """Any float, an edge, or a draw from the ``in_range`` strategies."""
+    any_float = st.floats(allow_nan=True, allow_infinity=True)
+    return st.one_of(*in_range, st.sampled_from(EDGES), any_float)
+
+
+#: The six ChannelParams fields, each within its range (half the draws), or
+#: each from edgy(), mostly out of range.
+channel_fields = st.tuples(
+    st.floats(0.0, 1e308),
+    st.floats(0.0, 1e308),
+    st.floats(5e-324, 1.0),
+    st.floats(0.0, math.nextafter(1.0, 0.0)),
+    st.floats(0.0, 0.5),
+    st.floats(1.0, 1e308),
+) | st.tuples(*[edgy()] * 6)
+
+
+def finite_or_value_error(call):
+    """Whether ``call()`` gives only finite numbers or raises a ValueError subclass."""
+    try:
+        values = call()
+    except ValueError:
+        return True
+    return all(math.isfinite(v) for v in values)
+
+
+@settings(max_examples=150)
+@given(
+    fields=channel_fields,
+    protocol=st.sampled_from(PROTOCOLS),
+    mu=edgy(st.just("optimal"), st.floats(0.0, MAX_MU)),
+    nu3=edgy(st.floats(0.0, 1.0)),
+    distance=edgy(st.floats(0.0, 1e308)),
+)
+def test_library_entry_points_give_a_finite_result_or_a_value_error(
+    fields, protocol, mu, nu3, distance
+):
+    # with warnings as errors; alpha distance past ~1.8e308 overflows to eta = 0,
+    # where the optimal SARG04 intensity is 0
+    def rate():
+        point = rate_at(protocol, mu, ChannelParams(*fields), distance, nu3)
+        return point.mu, point.rate
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert finite_or_value_error(rate)
+        assert finite_or_value_error(
+            lambda: [max_secure_distance(protocol, mu, ChannelParams(*fields), nu3)]
+        )
+        if mu != "optimal":  # the sentinel is for the sweeps, not an intensity
+            assert finite_or_value_error(lambda: astuple(construct_intensity_set(mu, nu3)))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,13 @@ class TestOptimalMuSarg04:
 
     def test_root_below_1e_15(self):
         assert optimal_mu_sarg04(1e-40) == pytest.approx(math.sqrt(2e-40), rel=1e-12)
+        # at eta = 0 nothing arrives and no signal is sent, without a warning
+        # from the Newton steps; the other elements keep their exact bits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert optimal_mu_sarg04(0.0) == 0.0
+            mixed = optimal_mu_sarg04(np.array([0.0, 0.045]))
+        assert mixed[0] == 0.0 and mixed[1] == optimal_mu_sarg04(0.045)
 
     def test_agrees_with_bisection(self):
         # the solver reports the midpoint of the 2^-41 cell of (1e-15, 2) that
@@ -206,7 +214,7 @@ class TestOptimalMuSarg04:
         # at eta = 1 the optimum solves mu^2 = 2
         assert optimal_mu_sarg04(1.0) == pytest.approx(_exact_optimal_mu(1.0), abs=2e-12)
 
-    @pytest.mark.parametrize("eta", [0.0, -0.1, 1.5])
+    @pytest.mark.parametrize("eta", [math.nan, -0.1, 1.5])
     def test_invalid_transmittance_rejected(self, eta):
         with pytest.raises(ValueError):
             optimal_mu_sarg04(eta)
