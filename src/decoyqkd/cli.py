@@ -135,6 +135,9 @@ def resolve_config(argv: list[str] | None = None) -> tuple[list[SweepSpec], Path
     ChannelParams reject values that parse but do not make a sweep.
     """
     flags = vars(build_parser().parse_args(argv))
+    for name, text in flags.items():
+        if text == []:  # argparse's value for a '--' text, as in --mu=--
+            raise ValueError(f"{name}: expected a value, got '--'")
     config = flags.pop("config")
     texts = {name: default for name, (_, default, _) in OPTIONS.items()}
     if config is not None:
@@ -178,14 +181,12 @@ def run(specs: list[SweepSpec], out: Path) -> int:
         mu_label = mu if isinstance(mu, str) else f"{mu:g}"
         try:
             cutoff = max_secure_distance(protocol, mu, spec.channel, nu3=spec.nu3)
-            print(f"{protocol} (mu={mu_label}): max secure distance {cutoff:.1f} km -> {csv_path}")
+            outcome = f"max secure distance {cutoff:.1f} km"
         except NeverSecureError:
-            print(f"{protocol} (mu={mu_label}): never secure -> {csv_path}")
+            outcome = "never secure"
         except ScanLimitError:
-            print(
-                f"{protocol} (mu={mu_label}): secure beyond the {SCAN_LIMIT_KM:g} km scan limit"
-                f" -> {csv_path}"
-            )
+            outcome = f"secure beyond the {SCAN_LIMIT_KM:g} km scan limit"
+        print(f"{protocol} (mu={mu_label}): {outcome} -> {csv_path}")
     return EXIT_OK
 
 

@@ -2,9 +2,9 @@
 
 ``rate_at`` is elementwise in distance: a sweep is one call over its grid.
 The cutoff search, also the exact-statistics ceiling's, is two calls: the
-coarse scan up to FIRST_SCAN_KM and the bisection lattice. The scan takes a
-third call, for the rest of its grid, only while the rate is still positive
-at FIRST_SCAN_KM.
+coarse scan up to FIRST_SCAN_KM and the lattice of the last secure step. The
+scan takes a third call, for the rest of its grid, only while the rate is
+still positive at FIRST_SCAN_KM.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ MAX_MU = 100.0
 MAX_SWEEP_POINTS = 100_000
 
 #: Cutoff search: a coarse scan from zero up to the scan limit, then a
-#: bisection of the last bracket down to the resolution.
+#: lattice over the last secure step, finer than the resolution.
 COARSE_STEP_KM = 5.0
 RESOLUTION_KM = 0.1
 SCAN_LIMIT_KM = 1000.0
@@ -178,12 +178,11 @@ def sweep(spec: SweepSpec) -> list[KeyRatePoint]:
 
 
 def _cutoff_km(protocol: str, rates: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Largest distance at which ``rates(distance array)`` is strictly positive.
+    """Distance at which ``rates(distance array)`` first stops being strictly positive.
 
-    Scans a COARSE_STEP_KM grid for the first non-positive rate, then bisects
-    the bracket before it down to RESOLUTION_KM. A halving can only land on the
-    lattice that splits the bracket into 2^k steps, so that lattice is evaluated
-    in one call and the halvings are replayed on it.
+    Takes the first non-positive rate on a COARSE_STEP_KM grid, then on the
+    lattice that splits the step before it into 2^k steps of at most
+    RESOLUTION_KM, and returns the midpoint of the lattice step ending there.
 
     That is two calls; a third only while the rate is still positive at
     FIRST_SCAN_KM, because the scan evaluates its grid past FIRST_SCAN_KM only
@@ -203,12 +202,8 @@ def _cutoff_km(protocol: str, rates: Callable[[np.ndarray], np.ndarray]) -> floa
 
     steps = 2 ** math.ceil(math.log2(COARSE_STEP_KM / RESOLUTION_KM))
     lattice = grid[end - 1] + np.arange(steps + 1) * (COARSE_STEP_KM / steps)
-    secure = rates(lattice) > 0
-    lo, hi = 0, steps
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if secure[mid] else (lo, mid)
-    return float(0.5 * (lattice[lo] + lattice[hi]))
+    end = int(np.argmin(rates(lattice) > 0))
+    return float(0.5 * (lattice[end - 1] + lattice[end]))
 
 
 def max_secure_distance(

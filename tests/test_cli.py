@@ -117,6 +117,11 @@ class TestRun:
             assert len(lines) == 4  # header + 0, 10, 20 km
             assert f"{protocol}" in out
             assert "max secure distance" in out
+        # misalignment close to the random limit: no key at any distance
+        args = ["--edet", "0.45", "--protocol", "nonorthogonal-decoy", "--out", str(tmp_path)]
+        assert run_cli(args + ["--distance", "0:20:10"]) == EXIT_OK
+        csv = tmp_path / "nonorthogonal-decoy.csv"
+        assert capsys.readouterr().out == f"nonorthogonal-decoy (mu=0.48): never secure -> {csv}\n"
 
     def test_degenerate_range_single_row(self, tmp_path):
         code = run_cli(
@@ -208,6 +213,9 @@ class TestRun:
             ["--nu3", "nan"],
             ["--nu3", "inf"],
             ["--protocol", "sarg04-no-decoy", "--nu3", "nan"],
+            # a '--' text, which argparse turns into an empty list
+            ["--mu=--"],
+            ["--config=--"],
         ):
             capsys.readouterr()
             assert run_cli(args + ["--out", str(tmp_path)]) == EXIT_CONFIG, args

@@ -1,9 +1,13 @@
 """Property tests over random channels, drawn by hypothesis."""
 
+import io
 import math
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from decoyqkd import (  # noqa: E402
     synthesize_tallies,
     transmittance,
 )
+from decoyqkd.cli import main  # noqa: E402
 from decoyqkd.sweeps import COARSE_STEP_KM, MAX_MU, RESOLUTION_KM, SCAN_LIMIT_KM  # noqa: E402
 
 #: -log10 of the smallest transmittance eta at which eta nu3 is still a positive float.
@@ -144,13 +149,14 @@ def test_no_cutoff_beyond_its_exact_statistics_ceiling(protocol, mu, spread, cha
     channel=fiber_links(),
 )
 def test_rate_crosses_zero_once(protocol, mu, nu3_share, channel):
-    # the cutoff search takes the first non-positive point of the coarse grid,
-    # and then of the lattice of the last secure step, as the end of the secure
-    # range: once the rate is non-positive there, it must stay so. Optimal mu
-    # is left out, for two reasons. Its root is snapped to a 2^-41 cell, which
-    # makes the sign flicker on links without dark counts. And where eta is
-    # near 1 the root maximizes the untagged gain, not the rate, so the rate
-    # can turn positive again a few km on (ROADMAP items 1b and 3).
+    # the cutoff search ends the secure range at the first non-positive point
+    # of the coarse grid, and then of the lattice of the last secure step. That
+    # is well defined for any rate; this checks that the rate does not turn
+    # positive again past it, on either grid. Optimal mu is left out, for two
+    # reasons. Its root is snapped to a 2^-41 cell, which makes the sign
+    # flicker on links without dark counts. And where eta is near 1 the root
+    # maximizes the untagged gain, not the rate, so the rate can turn positive
+    # again a few km on (ROADMAP items 1b and 3).
     nu3 = nu3_share * mu
     grid = np.arange(0.0, SCAN_LIMIT_KM + COARSE_STEP_KM, COARSE_STEP_KM)
     if channel.y0 == 0:  # past the underflow of eta nu3, a decoy class has no QBER
@@ -224,3 +230,90 @@ def test_library_entry_points_give_a_finite_result_or_a_value_error(
         )
         if mu != "optimal":  # the sentinel is for the sweeps, not an intensity
             assert finite_or_value_error(lambda: astuple(construct_intensity_set(mu, nu3)))
+
+
+#: Junk: empty, words, separators, near-numbers, and '--', which argparse
+#: turns into an empty list.
+JUNK = ("", " ", "abc", "0.3.1", "1,5", "0x10", "1e", "--", "=", "#", "all,", "optimal ")
+
+
+def option(*valid):
+    """The text of one option: a valid value, a float edge, or junk."""
+    edges = st.sampled_from([repr(v) for v in EDGES])
+    return st.one_of(*valid, edges, st.sampled_from(JUNK), st.text(max_size=6))
+
+
+def decimal(low, high):
+    return st.floats(low, high).map(repr)
+
+
+#: Each option's texts; distance triples stay small, or are rejected before
+#: anything is allocated.
+CLI_OPTIONS = {
+    "preset": option(st.just("gys")),
+    "protocol": option(
+        st.sampled_from(("all",) + PROTOCOLS),
+        st.lists(st.sampled_from(PROTOCOLS), min_size=1, max_size=3).map(",".join),
+    ),
+    "mu": option(st.just("optimal"), decimal(0.02, 1.0)),
+    "nu3": option(log_uniform(1e-6, 0.2).map(repr)),
+    "alpha": option(decimal(0.1, 4.0)),
+    "eta_bob": option(decimal(1e-3, 1.0)),
+    "y0": option(st.just("0"), log_uniform(1e-8, 1e-3).map(repr)),
+    "edet": option(decimal(0.0, 0.5)),
+    "fec": option(decimal(1.0, 1.5)),
+    "distance": option(
+        st.tuples(
+            *[option(decimal(0.0, 200.0)) for _ in range(2)], option(decimal(5.0, 50.0))
+        ).map(":".join)
+    ),
+    # under the run's directory: a new one, one under a file, a null byte
+    "out": st.sampled_from(["out", "out/sub", "afile", "afile/sub", "nul\0"]),
+}
+
+#: Each option absent, or given as a flag or as a config-file key.
+GIVEN_AS = st.fixed_dictionaries(
+    {},
+    optional={
+        name: st.tuples(st.sampled_from(["flag", "file"]), text)
+        for name, text in CLI_OPTIONS.items()
+    },
+)
+
+
+@settings(max_examples=100)
+@given(given_as=GIVEN_AS)
+def test_cli_exits_0_2_or_3_with_one_line_or_finite_csvs(given_as):
+    # warnings as errors; a flag is --name=text, so that a text starting with
+    # '-' reaches the option's parser and not argparse's. Cutoffs are not
+    # checked against their exact-statistics ceilings: --nu3 1e-150 gives a
+    # 185.4 km cutoff against a 163.6 km ceiling (ROADMAP item 4)
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp)
+        (run_dir / "afile").write_text("not a directory\n")
+        argv, lines = [], []
+        for name, (where, text) in given_as.items():
+            if name == "out":
+                text = str(run_dir / text)
+            if where == "flag":
+                argv.append(f"--{name.replace('_', '-')}={text}")
+            else:
+                lines.append(f"{name} = {text}\n")
+        if lines:
+            (run_dir / "run.cfg").write_text("".join(lines), encoding="utf-8")
+            argv.append(f"--config={run_dir / 'run.cfg'}")
+        if "out" not in given_as:
+            argv.append(f"--out={run_dir / 'out'}")
+        err = io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(io.StringIO()), redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 2, 3), argv
+        if code:
+            message = err.getvalue()
+            assert message.count("\n") == 1 and message.endswith("\n"), message
+            assert message.startswith(("error: ", "constraint violation: ")), message
+        else:
+            for csv in run_dir.rglob("*.csv"):
+                rows = csv.read_text().splitlines()[1:]
+                assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))

@@ -203,6 +203,21 @@ class TestMaxSecureDistance:
         assert rate_at("bb84-decoy", 0.48, gys, d_max - 0.2).rate > 0
         assert rate_at("bb84-decoy", 0.48, gys, d_max + 0.2).rate <= 0
 
+    def test_cutoff_ends_the_first_secure_run_of_the_lattice(self):
+        # without dark counts the optimal-mu rate flickers in sign inside the
+        # last secure step; a bisection of that step reported 214.7 km, past
+        # lattice points that are insecure from 210.7 km on
+        channel = ChannelParams(
+            1.09142742536821, 0.0, 0.20475995992426646, 0.0, 0.05684515843583902, 1.22
+        )
+        cutoff = max_secure_distance("sarg04-no-decoy", "optimal", channel)
+        last_secure = COARSE_STEP_KM * (cutoff // COARSE_STEP_KM)
+        lattice = last_secure + np.arange(65) * (COARSE_STEP_KM / 64)
+        upto = lattice[: np.count_nonzero(lattice < cutoff) + 1]
+        rates = rate_at("sarg04-no-decoy", "optimal", channel, upto).rate
+        assert (rates[:-1] > 0).all() and rates[-1] <= 0
+        assert round(cutoff, 2) == 210.66
+
     def test_never_secure_raises(self, gys):
         # misalignment close to the random limit: no key anywhere
         noisy = ChannelParams(0.21, 0.0, 0.045, 1.7e-6, 0.45, 1.22)
@@ -355,12 +370,8 @@ def full_grid_cutoff_km(protocol, rates):
         raise ScanLimitError(f"rate still positive at the {grid[-1]} km scan limit")
     steps = 2 ** math.ceil(math.log2(COARSE_STEP_KM / RESOLUTION_KM))
     lattice = grid[end - 1] + np.arange(steps + 1) * (COARSE_STEP_KM / steps)
-    secure = rates(lattice) > 0
-    lo, hi = 0, steps
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if secure[mid] else (lo, mid)
-    return float(0.5 * (lattice[lo] + lattice[hi]))
+    end = int(np.argmin(rates(lattice) > 0))
+    return float(0.5 * (lattice[end - 1] + lattice[end]))
 
 
 class TestWindowedScan:
