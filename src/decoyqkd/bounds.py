@@ -7,7 +7,9 @@ Y1 and two-photon yield Y2, upper bounds on their error rates e1 and e2,
 and the corresponding gain bounds Q1, Q2. The bounds are conservative for
 any channel whose per-photon-number yields lie in [0, 1]: Y1L <= Y1,
 e1U >= e1, Y2L <= Y2, e2U >= e2. An ``IntensitySet`` meets the intensity
-constraints the bounds rest on: it checks them when it is built.
+constraints the bounds rest on: it checks them when it is built, and it
+carries the distance-independent constants of the estimator, each computed
+once per set.
 
 The tallies are positional: one ``ObservedTally`` with the classes vacuum,
 nu3, nu2, nu1, mu on axis 0, which one (2, 5) coefficient matrix maps to
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +53,12 @@ def _denominators(s: IntensitySet) -> tuple[float, float]:
     return mu * (nu2 - nu3) * (mu - nu2 - nu3), mu * (nu1 - nu2) * (nu1 + nu2 - mu)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, no longer writable: a constant shared by every call."""
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class IntensitySet:
     """Signal and decoy mean photon numbers, checked when built.
@@ -65,6 +74,9 @@ class IntensitySet:
         (it underflows for nu3 < ~1.5e-154)
 
     Raises IntensityConstraintError naming each violated constraint.
+
+    The constants below are computed on first use and kept with the set;
+    their arrays are read-only.
     """
 
     mu: float
@@ -111,6 +123,43 @@ class IntensitySet:
         if problems:
             raise IntensityConstraintError("; ".join(problems))
 
+    @cached_property
+    def classes(self) -> np.ndarray:
+        """The pulse-class intensities (0, nu3, nu2, nu1, mu), in that order."""
+        return _read_only(np.array([0.0, self.nu3, self.nu2, self.nu1, self.mu]))
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """The map from the five gains to Y1L and Y2L, e^nu and the denominators
+        folded in, class by class: row i holds class i's (Y1L, Y2L) coefficients."""
+        mu, nu1, nu2, nu3 = self.mu, self.nu1, self.nu2, self.nu3
+        signal_1, signal_2 = nu2**2 - nu3**2, 2.0 * (nu1 - nu2)
+        numerators = np.array([
+            [signal_1, -(mu**2), mu**2, 0.0, -signal_1],
+            [signal_2, 0.0, -2.0 * mu, 2.0 * mu, -signal_2],
+        ])
+        boost = np.array([1.0, math.exp(nu3), math.exp(nu2), math.exp(nu1), math.exp(mu)])
+        matrix = numerators * boost / np.array(_denominators(self))[:, None]
+        return _read_only(np.ascontiguousarray(matrix.T))
+
+    @cached_property
+    def scales(self) -> np.ndarray:
+        """The e1U and e2U scales (nu3, nu3^2)."""
+        return _read_only(np.array((self.nu3, self.nu3**2)))
+
+    @cached_property
+    def exp_nu3(self) -> float:
+        """e^nu3."""
+        return math.exp(self.nu3)
+
+    @cached_property
+    def exp_neg_mu(self) -> float:
+        """e^(-mu)."""
+        return math.exp(-self.mu)
+
+
+#: The caps of e1U and e2U.
+_ERROR_CAPS = _read_only(np.array((E_VACUUM, 1.0)))
 
 _CLAMP_NAMES = (
     "single-photon bound vacuous (Y1L <= 0)",
@@ -145,18 +194,6 @@ class PhotonBounds:
         """The name of each clamp that fired at any distance, in the order of ``clamps``."""
         fired = () if self.clamps is None else self.clamps.reshape(8, -1).any(axis=1)
         return tuple(name for name, hit in zip(_CLAMP_NAMES, fired) if hit)
-
-
-def _coefficients(s: IntensitySet) -> np.ndarray:
-    """The (2, 5) map from the five gains to Y1L and Y2L, e^nu and denominators folded in."""
-    mu, nu1, nu2, nu3 = s.mu, s.nu1, s.nu2, s.nu3
-    signal_1, signal_2 = nu2**2 - nu3**2, 2.0 * (nu1 - nu2)
-    numerators = np.array([
-        [signal_1, -(mu**2), mu**2, 0.0, -signal_1],
-        [signal_2, 0.0, -2.0 * mu, 2.0 * mu, -signal_2],
-    ])
-    boost = np.array([1.0, math.exp(nu3), math.exp(nu2), math.exp(nu1), math.exp(mu)])
-    return numerators * boost / np.array(_denominators(s))[:, None]
 
 
 def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) -> PhotonBounds:
@@ -199,34 +236,35 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
     if not isinstance(intensities, IntensitySet):
         raise TypeError(f"intensities must be an IntensitySet, got {type(intensities).__name__}")
     s = intensities
-    expected = [0.0, s.nu3, s.nu2, s.nu1, s.mu]
+    expected = s.classes.tolist()
     observed = np.ravel(tallies.intensity).tolist()
     if observed != expected:
         raise ValueError(
             f"tally intensities {observed} do not match the set's vacuum, nu3, nu2, nu1, mu "
             f"{expected}"
         )
-    y0 = tallies.gain[0]
+    gain = tallies.gain
+    y0 = gain[0]
     # photon numbers 1 and 2 on axis 0, broadcast against the distances
     column = (2,) + (1,) * np.ndim(y0)
-    coefficients = _coefficients(s).reshape((2, 5) + column[1:])
-    # class by class in a fixed order: a BLAS product rounds differently at each width
-    raw_yield = sum(coefficients[:, i] * gain for i, gain in enumerate(tallies.gain))
-    error_weight = tallies.qber[1] * tallies.gain[1] * math.exp(s.nu3) - E_VACUUM * y0
+    # summed class by class in a fixed order: a BLAS product rounds differently at each width
+    raw_yield = sum(s.coefficients.reshape((5,) + column) * gain[:, None])
+    error_weight = tallies.qber[1] * gain[1] * s.exp_nu3 - E_VACUUM * y0
     weight = np.array((error_weight, 2.0 * error_weight))
-    scale, cap = np.reshape((s.nu3, s.nu3**2), column), np.reshape((E_VACUUM, 1.0), column)
+    scale, cap = s.scales.reshape(column), _ERROR_CAPS.reshape(column)
     vacuous = raw_yield <= 0
-    y = np.clip(raw_yield, 0.0, 1.0)
+    # np.clip's signs of zero, which differ with scalar and array bounds
+    y = np.minimum(np.maximum(0.0, raw_yield), 1.0)
     denominator = y * scale
     # e_nU is the cap where Y_nL, or Y_nL times the scale, is 0: it bounds nothing
     raw_error = np.full(denominator.shape, np.inf)
     np.divide(weight, denominator, out=raw_error, where=denominator != 0)
-    error = np.clip(raw_error, 0.0, cap)
+    error = np.minimum(np.maximum(raw_error, 0.0), cap)
     clamps = np.array((vacuous, raw_yield > 1.0, (raw_error > cap) & ~vacuous, raw_error < 0))
     (y1, y2), (e1, e2) = y, error
     return PhotonBounds(
-        y0, E_VACUUM, y0 * math.exp(-s.mu),
-        y1, e1, y1 * s.mu * math.exp(-s.mu),
-        y2, y2 * s.mu**2 * math.exp(-s.mu) / 2.0, e2,
+        y0, E_VACUUM, y0 * s.exp_neg_mu,
+        y1, e1, y1 * s.mu * s.exp_neg_mu,
+        y2, y2 * s.mu**2 * s.exp_neg_mu / 2.0, e2,
         clamps.swapaxes(0, 1),  # built kind first: np.array is quicker than np.stack
     )

@@ -116,6 +116,13 @@ class ObservedTally:
     qber: float
 
     def __post_init__(self):
+        # one test of all three ranges, which NaN fails; the tests below run
+        # only where it fails, to name the first field out of range
+        low, high = np.minimum(self.gain, self.qber), np.maximum(self.gain, self.qber)
+        smallest, largest = np.minimum.reduce, np.maximum.reduce  # NaN if any element is
+        in_range = smallest(self.intensity, None) >= 0 and smallest(low, None) >= 0
+        if in_range and largest(high, None) <= 1:
+            return
         if not _holds(self.intensity >= 0):
             raise ParameterError("intensity must be >= 0")
         if not _holds((self.gain >= 0) & (self.gain <= 1)):
@@ -190,7 +197,6 @@ def synthesize_tallies(intensities: IntensitySet, params: ChannelParams) -> Obse
     distance), and each row of ``gain`` and ``qber`` has the shape of the
     distance.
     """
-    s = intensities
-    intensity = np.array([0.0, s.nu3, s.nu2, s.nu1, s.mu])
     # one column per class, broadcast against the distances
-    return honest_tally(intensity.reshape((5,) + (1,) * np.ndim(params.distance_km)), params)
+    column = intensities.classes.reshape((5,) + (1,) * np.ndim(params.distance_km))
+    return honest_tally(column, params)

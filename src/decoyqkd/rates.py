@@ -59,9 +59,12 @@ def rate_bb84_decoy(signal_tally: ObservedTally, bounds: PhotonBounds, f_ec: flo
     """Decoy-state BB84 rate from the single-photon bound.
 
     S = (1/2) { -Q_mu f H2(E_mu) + Q1L [1 - H2(e1U)] }
+
+    E_mu and e1U have one shape: one entropy call takes both, stacked.
     """
-    cost = signal_tally.gain * f_ec * binary_entropy(signal_tally.qber)
-    gain = bounds.q1_lower * (1.0 - binary_entropy(np.minimum(bounds.e1_upper, 0.5)))
+    h_mu, h_1 = binary_entropy(np.array((signal_tally.qber, np.minimum(bounds.e1_upper, 0.5))))
+    cost = signal_tally.gain * f_ec * h_mu
+    gain = bounds.q1_lower * (1.0 - h_1)
     return 0.5 * (gain - cost)
 
 
@@ -106,14 +109,15 @@ def rate_sarg04_worst(signal_tally: ObservedTally, q0: float, omega: float) -> f
 
     The error-correction factor is taken as 1 here. The untagged term is
     dropped when Omega <= 0; the entropy argument E_mu / Omega is capped
-    at 1/2.
+    at 1/2. Omega has the shape of the tally's fields, or is a number.
     """
     q_mu = signal_tally.gain
-    cost = q_mu * binary_entropy(signal_tally.qber)
     untagged = omega > 0
     omega = np.where(untagged, omega, 1.0)  # dropped ones, -inf too, are overwritten below
     capped = np.minimum(signal_tally.qber / omega, 0.5)
-    untagged_term = np.where(untagged, omega * q_mu * (1.0 - binary_entropy(capped)), 0.0)
+    h_mu, h_capped = binary_entropy(np.array((signal_tally.qber, capped)))
+    cost = q_mu * h_mu
+    untagged_term = np.where(untagged, omega * q_mu * (1.0 - h_capped), 0.0)
     return 0.25 * (q0 + untagged_term - cost)
 
 
@@ -172,10 +176,13 @@ def rate_nonorthogonal_decoy(
     S = (1/4) { -Q_mu f H2(E_mu) + Q0 + Q1L [1 - H2(e1U)] + Q2L [1 - H2(e2U)] }
 
     Unlike BB84, the vacuum and two-photon fractions also contribute key.
+    E_mu, e1U and e2U have one shape: one entropy call takes all three, stacked.
     """
-    cost = signal_tally.gain * f_ec * binary_entropy(signal_tally.qber)
-    gain_1 = bounds.q1_lower * (1.0 - binary_entropy(np.minimum(bounds.e1_upper, 0.5)))
-    gain_2 = bounds.q2_lower * (1.0 - binary_entropy(np.minimum(bounds.e2_upper, 0.5)))
+    errors = signal_tally.qber, np.minimum(bounds.e1_upper, 0.5), np.minimum(bounds.e2_upper, 0.5)
+    h_mu, h_1, h_2 = binary_entropy(np.array(errors))
+    cost = signal_tally.gain * f_ec * h_mu
+    gain_1 = bounds.q1_lower * (1.0 - h_1)
+    gain_2 = bounds.q2_lower * (1.0 - h_2)
     return 0.25 * (bounds.q0 + gain_1 + gain_2 - cost)
 
 

@@ -1,10 +1,14 @@
 """Rate-vs-distance sweeps, maximal secure distance, and intensity construction.
 
-``rate_at`` is elementwise in distance: a sweep is one call over its grid.
-The cutoff search, also the exact-statistics ceiling's, is two calls: the
+``rates_for`` prepares a rate request once: it checks the protocol, mu and
+nu3 and builds the intensity set, and returns the function from distances
+to rates. ``rate_at`` and ``max_secure_distance`` evaluate such a prepared
+request; it is elementwise in distance, so a sweep is one evaluation over
+its grid. The cutoff search is two evaluations of one prepared request: the
 coarse scan up to FIRST_SCAN_KM and the lattice of the last secure step. The
-scan takes a third call, for the rest of its grid, only while the rate is
-still positive at FIRST_SCAN_KM.
+scan takes a third, for the rest of its grid, only while the rate is still
+positive at FIRST_SCAN_KM. The exact-statistics ceiling's search is the
+same, on rates with the exact statistics in place of the decoy bounds.
 """
 
 from __future__ import annotations
@@ -136,6 +140,50 @@ class SweepSpec:
         _grid_points(self.start_km, self.stop_km, self.step_km)
 
 
+def _prepare(
+    protocol: str, mu: Union[float, str], channel: ChannelParams, nu3: float
+) -> Callable[[np.ndarray], tuple]:
+    """The checked request as a function from a distance array to (mu, rates),
+    with mu the intensity, per distance for ``"optimal"``."""
+    _check_request(protocol, mu, nu3)
+    if protocol in DECOY_RATES:
+        intensities = construct_intensity_set(mu, nu3)
+        formula = DECOY_RATES[protocol]
+
+        def evaluate(distances):
+            params = channel.at_distance(distances)
+            tallies = synthesize_tallies(intensities, params)
+            bounds = estimate_photon_bounds(tallies, intensities)
+            return mu, formula(tallies.row(-1), bounds, params.f_ec)
+
+        return evaluate
+
+    def evaluate(distances):
+        params = channel.at_distance(distances)
+        signal_mu = optimal_mu_sarg04(transmittance(params)) if mu == OPTIMAL_MU else mu
+        signal = honest_tally(signal_mu, params)
+        q0 = params.y0 * np.exp(-signal_mu)
+        return signal_mu, rate_sarg04_worst(signal, q0, untagged_fraction(signal))
+
+    return evaluate
+
+
+def rates_for(
+    protocol: str,
+    mu: Union[float, str],
+    channel: ChannelParams,
+    nu3: float = DEFAULT_NU3,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The rate of one request as a function of distance, elementwise.
+
+    The protocol, mu and nu3 are checked, and the intensity set is built,
+    once, here. Each call of the returned function evaluates the request on
+    an array of distances, which ``ChannelParams.at_distance`` checks.
+    """
+    evaluate = _prepare(protocol, mu, channel, nu3)
+    return lambda distances: evaluate(np.asarray(distances, dtype=float))[1]
+
+
 def rate_at(
     protocol: str,
     mu: Union[float, str],
@@ -148,20 +196,9 @@ def rate_at(
     For an array of distances the returned point holds arrays of that shape.
     A number is evaluated as a one-element array, with the same arithmetic.
     """
-    _check_request(protocol, mu, nu3)
+    evaluate = _prepare(protocol, mu, channel, nu3)
     distances = np.atleast_1d(np.asarray(distance_km, dtype=float))
-    params = channel.at_distance(distances)
-    if protocol in DECOY_RATES:
-        intensities = construct_intensity_set(mu, nu3)
-        tallies = synthesize_tallies(intensities, params)
-        bounds = estimate_photon_bounds(tallies, intensities)
-        rate = DECOY_RATES[protocol](tallies.row(-1), bounds, params.f_ec)
-    else:
-        if mu == OPTIMAL_MU:
-            mu = optimal_mu_sarg04(transmittance(params))
-        signal = honest_tally(mu, params)
-        q0 = params.y0 * np.exp(-mu)
-        rate = rate_sarg04_worst(signal, q0, untagged_fraction(signal))
+    mu, rate = evaluate(distances)
     mus = np.full(distances.shape, mu)
     if np.ndim(distance_km) == 0:
         return KeyRatePoint(protocol, distance_km, float(mus[0]), float(rate[0]))
@@ -213,7 +250,7 @@ def max_secure_distance(
     nu3: float = DEFAULT_NU3,
 ) -> float:
     """Largest distance with a strictly positive rate, to RESOLUTION_KM."""
-    return _cutoff_km(protocol, lambda grid: rate_at(protocol, mu, channel, grid, nu3).rate)
+    return _cutoff_km(protocol, rates_for(protocol, mu, channel, nu3))
 
 
 def exact_ceiling_km(protocol: str, mu: float, channel: ChannelParams) -> float:

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from decoyqkd import GYS
@@ -9,7 +11,12 @@ except ImportError:  # the property tests skip themselves
 else:
     # the same examples on every run, with no example database on disk
     settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
-    settings.load_profile("derandomized")
+    # HYPOTHESIS_PROFILE=thorough: new random examples on every run, ten times
+    # as many (tests/test_properties.py scales its own counts by this profile)
+    settings.register_profile(
+        "thorough", derandomize=False, database=None, deadline=None, max_examples=1000
+    )
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "derandomized"))
 
 
 @pytest.fixture(scope="session")

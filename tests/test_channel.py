@@ -231,10 +231,25 @@ def test_at_distance_rejects_a_bad_distance(gys, distance):
         ("qber", -0.01, r"qber must be in \[0, 1\]"),
         ("qber", 1.01, r"qber must be in \[0, 1\]"),
         ("qber", math.nan, r"qber must be in \[0, 1\]"),
+        # both bad: the gain is named first
+        ("gain,qber", math.nan, r"gain must be in \[0, 1\]"),
+        ("gain,qber", math.inf, r"gain must be in \[0, 1\]"),
+        ("gain,qber", -math.inf, r"gain must be in \[0, 1\]"),
+        ("gain,qber", -1e-300, r"gain must be in \[0, 1\]"),
+        ("gain,qber", math.nextafter(1.0, 2.0), r"gain must be in \[0, 1\]"),
+        ("gain,qber", np.array([0.1, math.nan]), r"gain must be in \[0, 1\]"),
     ],
 )
 def test_observed_tally_range_checks(field, value, message):
     kwargs = dict(intensity=0.3, gain=1e-3, qber=0.02)
-    kwargs[field] = value
+    for name in field.split(","):
+        kwargs[name] = value
     with pytest.raises(ParameterError, match=f"^{message}$"):
         ObservedTally(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["intensity", "gain", "qber"])
+def test_observed_tally_accepts_negative_zero(field):
+    kwargs = dict(intensity=0.3, gain=1e-3, qber=0.02)
+    kwargs[field] = -0.0
+    assert math.copysign(1.0, getattr(ObservedTally(**kwargs), field)) == -1.0

@@ -22,6 +22,7 @@ from decoyqkd import (  # noqa: E402
     NeverSecureError,
     ScanLimitError,
     UndefinedQberError,
+    binary_entropy,
     construct_intensity_set,
     estimate_photon_bounds,
     exact_bounds,
@@ -33,6 +34,13 @@ from decoyqkd import (  # noqa: E402
 )
 from decoyqkd.cli import main  # noqa: E402
 from decoyqkd.sweeps import COARSE_STEP_KM, MAX_MU, RESOLUTION_KM, SCAN_LIMIT_KM  # noqa: E402
+
+
+def examples(count: int) -> int:
+    """``count`` examples under the default profile, scaled with the loaded
+    profile's max_examples (ten times as many under the thorough profile)."""
+    return count * settings.default.max_examples // settings.get_profile("default").max_examples
+
 
 #: -log10 of the smallest transmittance eta at which eta nu3 is still a positive float.
 EDGE_DECADES = -math.log10(5e-324 / DEFAULT_NU3)
@@ -58,7 +66,7 @@ def links(draw, edge=EDGE_DECADES):
     )
 
 
-@settings(max_examples=200)
+@settings(max_examples=examples(200))
 @given(params=links(), mu=st.floats(0.05, 1.0))
 def test_bounds_stay_in_range_without_warning(params, mu):
     s = construct_intensity_set(mu)
@@ -73,7 +81,7 @@ def test_bounds_stay_in_range_without_warning(params, mu):
     assert 0.0 <= bounds.e2_upper <= 1.0
 
 
-@settings(max_examples=300)
+@settings(max_examples=examples(300))
 @given(mu=st.floats(0.05, 1.0), spread=st.floats(0.0, 1.0), data=st.data())
 def test_bounds_are_conservative(mu, spread, data):
     # nu3 log-uniform in [1e-9, 0.2 mu]. The float bounds are not yet
@@ -90,6 +98,36 @@ def test_bounds_are_conservative(mu, spread, data):
     assert bounds.e1_upper >= exact.e1_upper
     assert bounds.y2_lower <= exact.y2_lower
     assert bounds.e2_upper >= exact.e2_upper
+
+
+#: Entropy arguments: [0, 1] with its ends, its middle, subnormals and 1 - ulp.
+UNIT = st.floats(0.0, 1.0) | st.sampled_from(
+    [0.0, 1.0, 0.5, 5e-324, 1e-310, sys.float_info.min, math.nextafter(1.0, 0.0)]
+)
+OUT_OF_UNIT = st.sampled_from(
+    [math.nan, -math.inf, math.inf, -1e-300, -5e-324, math.nextafter(1.0, 2.0), 2.0]
+)
+
+
+@settings(max_examples=examples(100))
+@given(data=st.data(), width=st.integers(1, 20))
+def test_stacked_entropy_rows_equal_separate_calls(data, width):
+    # the rate formulas take the entropies of their error rates from one call
+    # on the stacked rows; that must be bitwise what one call per row gives,
+    # at widths on both sides of the SIMD vector lengths
+    values = data.draw(st.lists(UNIT, min_size=3 * width, max_size=3 * width))
+    rows = np.array(values).reshape(3, width)
+    stacked = binary_entropy(rows)
+    for row, entropy in zip(rows, stacked):
+        assert entropy.view(np.int64).tolist() == binary_entropy(row).view(np.int64).tolist()
+    # an argument outside [0, 1] in any row raises the same error either way
+    bad_row, bad_column = data.draw(st.integers(0, 2)), data.draw(st.integers(0, width - 1))
+    rows[bad_row, bad_column] = data.draw(OUT_OF_UNIT)
+    message = r"^binary entropy argument must be in \[0, 1\]"
+    with pytest.raises(ValueError, match=message):
+        binary_entropy(rows)
+    with pytest.raises(ValueError, match=message):
+        binary_entropy(rows[bad_row])
 
 
 def log_uniform(low, high):
@@ -121,7 +159,7 @@ def cutoff_outcome(search):
         assume(False)
 
 
-@settings(max_examples=80)
+@settings(max_examples=examples(80))
 @given(
     protocol=st.sampled_from(["bb84-decoy", "nonorthogonal-decoy"]),
     mu=st.floats(0.02, 0.8),
@@ -141,7 +179,7 @@ def test_no_cutoff_beyond_its_exact_statistics_ceiling(protocol, mu, spread, cha
         assert ceiling is ScanLimitError
 
 
-@settings(max_examples=150)
+@settings(max_examples=examples(150))
 @given(
     protocol=st.sampled_from(PROTOCOLS),
     mu=st.floats(0.02, 0.8),
@@ -205,7 +243,7 @@ def finite_or_value_error(call):
     return all(math.isfinite(v) for v in values)
 
 
-@settings(max_examples=150)
+@settings(max_examples=examples(150))
 @given(
     fields=channel_fields,
     protocol=st.sampled_from(PROTOCOLS),
@@ -281,7 +319,7 @@ GIVEN_AS = st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=100)
+@settings(max_examples=examples(100))
 @given(given_as=GIVEN_AS)
 def test_cli_exits_0_2_or_3_with_one_line_or_finite_csvs(given_as):
     # warnings as errors; a flag is --name=text, so that a text starting with

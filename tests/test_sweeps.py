@@ -21,6 +21,7 @@ from decoyqkd import (
     exact_ceiling_km,
     max_secure_distance,
     rate_at,
+    rates_for,
     sweep,
     synthesize_tallies,
 )
@@ -280,6 +281,21 @@ class TestDistanceArrays:
         assert grid.mu.tolist() == [p.mu for p in points]
         assert grid.rate.tolist() == [p.rate for p in points]
 
+    @pytest.mark.parametrize(
+        "protocol,mu",
+        [
+            ("bb84-decoy", 0.48),
+            ("nonorthogonal-decoy", 0.30),
+            ("sarg04-no-decoy", 0.1),
+            ("sarg04-no-decoy", "optimal"),
+        ],
+    )
+    def test_prepared_rates_equal_rate_at(self, gys, protocol, mu):
+        prepared = rates_for(protocol, mu, gys)(self.DISTANCES)
+        expected = rate_at(protocol, mu, gys, self.DISTANCES).rate
+        assert prepared.tolist() == expected.tolist()
+        assert (np.signbit(prepared) == np.signbit(expected)).all()
+
     def test_bounds_of_array_tallies_equal_per_distance_bounds(self, gys):
         s = construct_intensity_set(0.48)
         grid = estimate_photon_bounds(synthesize_tallies(s, gys.at_distance(self.DISTANCES)), s)
@@ -293,6 +309,51 @@ class TestDistanceArrays:
             flags.update(point.flags)
         assert set(grid.flags) == flags
         assert "e1U clamped to 1/2" in flags and "e2U clamped to 1" in flags
+
+
+class TestPinnedOutputs:
+    """Cutoffs, ceilings and rates as the float bits the current chain computes;
+    a change that is meant to keep results must keep every bit of these.
+    Returning optimal_mu_sarg04's Newton root unsnapped (ROADMAP item 1b) moves
+    the optimal-SARG04 values on purpose: re-pin them then."""
+
+    LOW_LOSS = ChannelParams(0.16, 0.0, 0.5, 1e-8, 0.005, 1.0)  # past FIRST_SCAN_KM
+    KINDS = (
+        ("bb84-decoy", 0.48),
+        ("nonorthogonal-decoy", 0.30),
+        ("sarg04-no-decoy", 0.1),
+        ("sarg04-no-decoy", "optimal"),
+    )
+    CUTOFFS = {
+        "gys": ("0x1.147c000000000p+7", "0x1.25d4000000000p+7",
+                "0x1.dc90000000000p+5", "0x1.82b8000000000p+6"),
+        "low_loss": ("0x1.9d8e000000000p+8", "0x1.a7ca000000000p+8",
+                     "0x1.359c000000000p+7", "0x1.2912000000000p+8"),
+    }
+    CEILINGS = {
+        "gys": ("0x1.1bfc000000000p+7", "0x1.3dbc000000000p+7"),
+        "low_loss": ("0x1.9ffa000000000p+8", "0x1.b396000000000p+8"),
+    }
+    #: GYS rates at 0, 75 and 140 km
+    RATES = (
+        ("0x1.1d7afbc3b719bp-9", "0x1.c3a2778f945c4p-15", "-0x1.b390c988240e0p-23"),
+        ("0x1.171c3614d680cp-10", "0x1.c5a46f4241fc6p-16", "0x1.3ed7ebe92b378p-22"),
+        ("0x1.424c662ffcb7ap-11", "-0x1.cf76ce2b910fap-18", "-0x1.60638d8118840p-21"),
+        ("0x1.f4fa47abb40c1p-11", "0x1.85b043d07a36cp-19", "-0x1.ce2842d82baa8p-24"),
+    )
+
+    @pytest.mark.parametrize("link", ["gys", "low_loss"])
+    def test_cutoffs_and_ceilings(self, gys, link):
+        channel = gys if link == "gys" else self.LOW_LOSS
+        cutoffs = [max_secure_distance(p, mu, channel).hex() for p, mu in self.KINDS]
+        assert tuple(cutoffs) == self.CUTOFFS[link]
+        ceilings = [exact_ceiling_km(p, mu, channel).hex() for p, mu in self.KINDS[:2]]
+        assert tuple(ceilings) == self.CEILINGS[link]
+
+    def test_rates(self, gys):
+        for (protocol, mu), pinned in zip(self.KINDS, self.RATES):
+            rates = rate_at(protocol, mu, gys, np.array([0.0, 75.0, 140.0])).rate
+            assert tuple(r.hex() for r in rates.tolist()) == pinned, (protocol, mu)
 
 
 class TestCallCounts:
@@ -336,10 +397,12 @@ class TestCallCounts:
         sweep(SweepSpec("sarg04-no-decoy", 0.0, 250.0, 1.0, mu, gys))
         assert len(calls) == 1
 
-    def test_cutoff_is_two_rate_at_calls(self, gys, monkeypatch):
-        calls = self.count(monkeypatch, decoyqkd.sweeps, "rate_at")
+    def test_cutoff_is_two_rate_evaluations_of_one_intensity_set(self, gys, monkeypatch):
+        evaluations = self.count(monkeypatch, ChannelParams, "at_distance")
+        sets = self.count(monkeypatch, IntensitySet, "__post_init__")
         max_secure_distance("nonorthogonal-decoy", 0.30, gys)
-        assert len(calls) == 2
+        assert len(evaluations) == 2
+        assert len(sets) == 1
 
     @pytest.mark.parametrize(
         "protocol,mu,cutoff",
@@ -349,13 +412,21 @@ class TestCallCounts:
             ("sarg04-no-decoy", "optimal", 297.07),
         ],
     )
-    def test_cutoff_past_the_first_scan_is_three_rate_at_calls(
+    def test_cutoff_past_the_first_scan_is_three_rate_evaluations(
         self, monkeypatch, protocol, mu, cutoff
     ):
-        calls = self.count(monkeypatch, decoyqkd.sweeps, "rate_at")
+        evaluations = self.count(monkeypatch, ChannelParams, "at_distance")
+        sets = self.count(monkeypatch, IntensitySet, "__post_init__")
         low_loss = ChannelParams(0.16, 0.0, 0.5, 1e-8, 0.005, 1.0)
         assert round(max_secure_distance(protocol, mu, low_loss), 2) == cutoff
-        assert len(calls) == 3
+        assert len(evaluations) == 3
+        assert len(sets) == (0 if protocol == "sarg04-no-decoy" else 1)
+
+    @pytest.mark.parametrize("protocol", ["bb84-decoy", "nonorthogonal-decoy"])
+    def test_decoy_sweep_builds_one_intensity_set(self, gys, monkeypatch, protocol):
+        sets = self.count(monkeypatch, IntensitySet, "__post_init__")
+        sweep(SweepSpec(protocol, 0.0, 250.0, 1.0, 0.48, gys))
+        assert len(sets) == 1
 
 
 def full_grid_cutoff_km(protocol, rates):
