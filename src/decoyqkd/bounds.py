@@ -8,7 +8,7 @@ and the corresponding gain bounds Q1, Q2. The bounds are conservative for
 any channel whose per-photon-number yields lie in [0, 1]: Y1L <= Y1,
 e1U >= e1, Y2L <= Y2, e2U >= e2. An ``IntensitySet`` meets the intensity
 constraints the bounds rest on: it checks them when it is built, and it
-carries the distance-independent constants of the estimator, each computed
+carries the class intensities and the coefficient matrix, each computed
 once per set.
 
 The tallies are positional: one ``ObservedTally`` with the classes vacuum,
@@ -75,8 +75,8 @@ class IntensitySet:
 
     Raises IntensityConstraintError naming each violated constraint.
 
-    The constants below are computed on first use and kept with the set;
-    their arrays are read-only.
+    The class intensities and the coefficient matrix below are computed on
+    first use and kept with the set, read-only.
     """
 
     mu: float
@@ -141,21 +141,6 @@ class IntensitySet:
         boost = np.array([1.0, math.exp(nu3), math.exp(nu2), math.exp(nu1), math.exp(mu)])
         matrix = numerators * boost / np.array(_denominators(self))[:, None]
         return _read_only(np.ascontiguousarray(matrix.T))
-
-    @cached_property
-    def scales(self) -> np.ndarray:
-        """The e1U and e2U scales (nu3, nu3^2)."""
-        return _read_only(np.array((self.nu3, self.nu3**2)))
-
-    @cached_property
-    def exp_nu3(self) -> float:
-        """e^nu3."""
-        return math.exp(self.nu3)
-
-    @cached_property
-    def exp_neg_mu(self) -> float:
-        """e^(-mu)."""
-        return math.exp(-self.mu)
 
 
 #: The caps of e1U and e2U.
@@ -249,9 +234,10 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
     column = (2,) + (1,) * np.ndim(y0)
     # summed class by class in a fixed order: a BLAS product rounds differently at each width
     raw_yield = sum(s.coefficients.reshape((5,) + column) * gain[:, None])
-    error_weight = tallies.qber[1] * gain[1] * s.exp_nu3 - E_VACUUM * y0
+    error_weight = tallies.qber[1] * gain[1] * math.exp(s.nu3) - E_VACUUM * y0
     weight = np.array((error_weight, 2.0 * error_weight))
-    scale, cap = s.scales.reshape(column), _ERROR_CAPS.reshape(column)
+    scale = np.array((s.nu3, s.nu3**2)).reshape(column)
+    cap = _ERROR_CAPS.reshape(column)
     vacuous = raw_yield <= 0
     # np.clip's signs of zero, which differ with scalar and array bounds
     y = np.minimum(np.maximum(0.0, raw_yield), 1.0)
@@ -262,9 +248,10 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
     error = np.minimum(np.maximum(raw_error, 0.0), cap)
     clamps = np.array((vacuous, raw_yield > 1.0, (raw_error > cap) & ~vacuous, raw_error < 0))
     (y1, y2), (e1, e2) = y, error
+    exp_neg_mu = math.exp(-s.mu)
     return PhotonBounds(
-        y0, E_VACUUM, y0 * s.exp_neg_mu,
-        y1, e1, y1 * s.mu * s.exp_neg_mu,
-        y2, y2 * s.mu**2 * s.exp_neg_mu / 2.0, e2,
+        y0, E_VACUUM, y0 * exp_neg_mu,
+        y1, e1, y1 * s.mu * exp_neg_mu,
+        y2, y2 * s.mu**2 * exp_neg_mu / 2.0, e2,
         clamps.swapaxes(0, 1),  # built kind first: np.array is quicker than np.stack
     )

@@ -119,9 +119,11 @@ class ObservedTally:
         # one test of all three ranges, which NaN fails; the tests below run
         # only where it fails, to name the first field out of range
         low, high = np.minimum(self.gain, self.qber), np.maximum(self.gain, self.qber)
-        smallest, largest = np.minimum.reduce, np.maximum.reduce  # NaN if any element is
-        in_range = smallest(self.intensity, None) >= 0 and smallest(low, None) >= 0
-        if in_range and largest(high, None) <= 1:
+        # NaN if any element is; the identities let an empty array through
+        smallest, largest = np.minimum.reduce, np.maximum.reduce
+        in_range = smallest(self.intensity, None, initial=np.inf) >= 0
+        in_range = in_range and smallest(low, None, initial=np.inf) >= 0
+        if in_range and largest(high, None, initial=-np.inf) <= 1:
             return
         if not _holds(self.intensity >= 0):
             raise ParameterError("intensity must be >= 0")

@@ -13,6 +13,10 @@ Protocols:
 Every formula is elementwise in distance: tallies and bounds whose fields
 are arrays over distances give a rate array of the same shape. The optimal
 SARG04 intensity is solved the same way, by a fixed number of Newton steps.
+
+The signal tally and the bounds of one decoy rate call must have one shape:
+one entropy call takes E_mu and the e_nU stacked, so a number tally with
+array bounds raises numpy's ValueError and is not broadcast.
 """
 
 from __future__ import annotations

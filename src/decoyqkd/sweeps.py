@@ -249,7 +249,9 @@ def max_secure_distance(
     channel: ChannelParams,
     nu3: float = DEFAULT_NU3,
 ) -> float:
-    """Largest distance with a strictly positive rate, to RESOLUTION_KM."""
+    """End of the first secure run from zero distance, to RESOLUTION_KM: the
+    midpoint of the lattice step where the rate first stops being strictly
+    positive (see ``_cutoff_km``); a later secure run does not move it."""
     return _cutoff_km(protocol, rates_for(protocol, mu, channel, nu3))
 
 

@@ -73,6 +73,15 @@ class TestConstructIntensitySet:
             construct_intensity_set(mu)
         assert construct_intensity_set(MAX_MU).mu == MAX_MU
 
+    def test_cached_constants_are_shared_and_read_only(self, gys):
+        # every call with one set shares these arrays, so none may write to them
+        s = construct_intensity_set(0.48)
+        assert s.classes is s.classes and s.coefficients is s.coefficients
+        tallies = [synthesize_tallies(s, gys.at_distance(d)) for d in (0.0, np.arange(3.0))]
+        for array in [s.classes, s.coefficients] + [t.intensity for t in tallies]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
 
 class TestSweep:
     def test_degenerate_range_single_point(self, gys):
@@ -295,6 +304,26 @@ class TestDistanceArrays:
         expected = rate_at(protocol, mu, gys, self.DISTANCES).rate
         assert prepared.tolist() == expected.tolist()
         assert (np.signbit(prepared) == np.signbit(expected)).all()
+
+    @pytest.mark.parametrize(
+        "protocol,mu",
+        [
+            ("bb84-decoy", 0.48),
+            ("nonorthogonal-decoy", 0.30),
+            ("sarg04-no-decoy", 0.1),
+            ("sarg04-no-decoy", "optimal"),
+        ],
+    )
+    def test_empty_distance_array_gives_empty_rates(self, gys, protocol, mu):
+        empty = np.zeros(0)
+        point = rate_at(protocol, mu, gys, empty)
+        prepared = rates_for(protocol, mu, gys)(empty)
+        for values in (point.distance_km, point.mu, point.rate, prepared):
+            assert values.shape == (0,)
+
+    def test_empty_tally_is_in_range(self):
+        empty = np.zeros(0)
+        assert ObservedTally(empty, empty, empty).gain.shape == (0,)
 
     def test_bounds_of_array_tallies_equal_per_distance_bounds(self, gys):
         s = construct_intensity_set(0.48)
