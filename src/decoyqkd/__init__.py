@@ -53,7 +53,6 @@ from .sweeps import (
     exact_ceiling_km,
     max_secure_distance,
     rate_at,
-    rates_for,
     sweep,
 )
 

@@ -58,6 +58,8 @@ def _parse_protocols(text: str) -> tuple[str, ...]:
     for name in names:
         if name not in PROTOCOLS:
             raise ValueError(f"unknown protocol {name!r}; expected one of {PROTOCOLS} or 'all'")
+        if names.count(name) > 1:
+            raise ValueError(f"{name!r} is named more than once")
     return names
 
 

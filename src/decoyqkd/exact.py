@@ -9,7 +9,10 @@ Model: background and transmission are independent, so an n-photon pulse
 is detected with probability Y_n = Y0 + 1 - (1 - eta)^n (capped at 1),
 and its error weight is e_n Y_n = Y0/2 + e_det [1 - (1 - eta)^n]. The
 Poisson average of this model reproduces the closed-form channel gain
-and QBER exactly.
+and QBER to round-off only while the cap does not bite, that is while
+Y0 + 1 - (1 - eta)^n <= 1 for every n of non-negligible Poisson weight.
+Near eta = 1 with Y0 > 0 it bites: at eta = 1 the averaged gain falls
+short of the closed form by Y0 (1 - e^(-mu)).
 """
 
 from __future__ import annotations
@@ -73,8 +76,9 @@ def reconstruct_gain(mu: float, params: ChannelParams) -> tuple[float, float]:
 
     Q = sum_n P_n(mu) Y_n,  E = sum_n P_n(mu) Y_n e_n / Q,  n = 0..N_MAX.
 
-    Must agree with the closed-form channel model to within numerical
-    round-off.
+    Agrees with the closed-form channel model to round-off while no n of
+    non-negligible Poisson weight has Y0 + 1 - (1 - eta)^n > 1, where
+    exact_stats caps the yield at 1 (see the module docstring).
     """
     stats = [exact_stats(n, mu, params) for n in range(N_MAX + 1)]
     gain = np.sum([s.gain for s in stats], axis=0)

@@ -1,12 +1,10 @@
 """Rate-vs-distance sweeps, maximal secure distance, and intensity construction.
 
-``rates_for`` prepares a rate request once: it checks the protocol, mu and
-nu3 and builds the intensity set, and returns the function from distances
-to rates. ``rate_at`` and ``max_secure_distance`` evaluate such a prepared
-request; it is elementwise in distance, so a sweep is one evaluation over
-its grid. The cutoff search is two evaluations of one prepared request: the
-coarse scan up to FIRST_SCAN_KM and the lattice of the last secure step. The
-scan takes a third, for the rest of its grid, only while the rate is still
+``rate_at`` evaluates a rate request, elementwise in distance, so a sweep
+is one evaluation over its grid. ``max_secure_distance`` checks its request
+and builds its intensity set once, then evaluates it two times: the coarse
+scan up to FIRST_SCAN_KM and the lattice of the last secure step. The scan
+takes a third, for the rest of its grid, only while the rate is still
 positive at FIRST_SCAN_KM. The exact-statistics ceiling's search is the
 same, on rates with the exact statistics in place of the decoy bounds.
 """
@@ -168,22 +166,6 @@ def _prepare(
     return evaluate
 
 
-def rates_for(
-    protocol: str,
-    mu: Union[float, str],
-    channel: ChannelParams,
-    nu3: float = DEFAULT_NU3,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The rate of one request as a function of distance, elementwise.
-
-    The protocol, mu and nu3 are checked, and the intensity set is built,
-    once, here. Each call of the returned function evaluates the request on
-    an array of distances, which ``ChannelParams.at_distance`` checks.
-    """
-    evaluate = _prepare(protocol, mu, channel, nu3)
-    return lambda distances: evaluate(np.asarray(distances, dtype=float))[1]
-
-
 def rate_at(
     protocol: str,
     mu: Union[float, str],
@@ -252,7 +234,8 @@ def max_secure_distance(
     """End of the first secure run from zero distance, to RESOLUTION_KM: the
     midpoint of the lattice step where the rate first stops being strictly
     positive (see ``_cutoff_km``); a later secure run does not move it."""
-    return _cutoff_km(protocol, rates_for(protocol, mu, channel, nu3))
+    evaluate = _prepare(protocol, mu, channel, nu3)
+    return _cutoff_km(protocol, lambda distances: evaluate(distances)[1])
 
 
 def exact_ceiling_km(protocol: str, mu: float, channel: ChannelParams) -> float:

@@ -216,6 +216,8 @@ class TestRun:
             # a '--' text, which argparse turns into an empty list
             ["--mu=--"],
             ["--config=--"],
+            # a protocol named twice, which would be computed and written twice
+            ["--protocol", "bb84-decoy,bb84-decoy"],
         ):
             capsys.readouterr()
             assert run_cli(args + ["--out", str(tmp_path)]) == EXIT_CONFIG, args

@@ -128,6 +128,19 @@ class TestReconstructGain:
         assert gain == pytest.approx(honest_tally(0.3, params).gain, abs=1e-12)
         assert qber == pytest.approx(0.033, rel=1e-9)
 
+    @pytest.mark.parametrize("y0", [0.0, 1.7e-6, 0.1])
+    @pytest.mark.parametrize("mu", [0.1, 0.48, 1.0])
+    def test_yield_cap_on_a_lossless_link(self, y0, mu):
+        # at eta = 1 every pulse with a photon is detected, so Y_n = min(Y0 + 1, 1)
+        # = 1 for n >= 1 loses the background of those pulses: the series falls
+        # short of the closed form by Y0 (1 - e^-mu), which is below 1 here
+        params = ChannelParams(0.21, 0.0, 1.0, y0, 0.033, 1.22)
+        assert transmittance(params) == 1.0
+        closed = honest_tally(mu, params).gain
+        assert closed < 1.0
+        gain, _ = reconstruct_gain(mu, params)
+        assert closed - gain == pytest.approx(-y0 * math.expm1(-mu), abs=1e-15)
+
 
 class TestVerifyBoundInequalities:
     def test_lemmas_hold_on_their_domains(self):

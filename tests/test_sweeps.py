@@ -21,7 +21,6 @@ from decoyqkd import (
     exact_ceiling_km,
     max_secure_distance,
     rate_at,
-    rates_for,
     sweep,
     synthesize_tallies,
 )
@@ -33,6 +32,15 @@ from decoyqkd.sweeps import (
     SCAN_LIMIT_KM,
     ScanLimitError,
 )
+
+#: One request of each protocol kind: the two decoy protocols, and SARG04
+#: without decoys at a fixed and at the per-distance optimal intensity.
+PROTOCOL_KINDS = [
+    ("bb84-decoy", 0.48),
+    ("nonorthogonal-decoy", 0.30),
+    ("sarg04-no-decoy", 0.1),
+    ("sarg04-no-decoy", "optimal"),
+]
 
 
 class TestConstructIntensitySet:
@@ -99,15 +107,7 @@ class TestSweep:
         spec = SweepSpec("bb84-decoy", 0.0, 50.0, 5.0, 0.48, gys)
         assert sweep(spec) == sweep(spec)
 
-    @pytest.mark.parametrize(
-        "protocol,mu",
-        [
-            ("bb84-decoy", 0.48),
-            ("nonorthogonal-decoy", 0.30),
-            ("sarg04-no-decoy", 0.1),
-            ("sarg04-no-decoy", "optimal"),
-        ],
-    )
+    @pytest.mark.parametrize("protocol,mu", PROTOCOL_KINDS)
     def test_points_are_the_elements_of_one_rate_at_call(self, gys, protocol, mu):
         points = sweep(SweepSpec(protocol, 0.0, 300.0, 1.5, mu, gys))
         grid = rate_at(protocol, mu, gys, 1.5 * np.arange(201))
@@ -274,15 +274,7 @@ class TestDistanceArrays:
 
     DISTANCES = np.arange(0, 401.0)  # past every cutoff, where the clamps fire
 
-    @pytest.mark.parametrize(
-        "protocol,mu",
-        [
-            ("bb84-decoy", 0.48),
-            ("nonorthogonal-decoy", 0.30),
-            ("sarg04-no-decoy", 0.1),
-            ("sarg04-no-decoy", "optimal"),
-        ],
-    )
+    @pytest.mark.parametrize("protocol,mu", PROTOCOL_KINDS)
     def test_rate_at_grid_equals_scalar_calls(self, gys, protocol, mu):
         grid = rate_at(protocol, mu, gys, self.DISTANCES)
         points = [rate_at(protocol, mu, gys, float(d)) for d in self.DISTANCES]
@@ -290,35 +282,11 @@ class TestDistanceArrays:
         assert grid.mu.tolist() == [p.mu for p in points]
         assert grid.rate.tolist() == [p.rate for p in points]
 
-    @pytest.mark.parametrize(
-        "protocol,mu",
-        [
-            ("bb84-decoy", 0.48),
-            ("nonorthogonal-decoy", 0.30),
-            ("sarg04-no-decoy", 0.1),
-            ("sarg04-no-decoy", "optimal"),
-        ],
-    )
-    def test_prepared_rates_equal_rate_at(self, gys, protocol, mu):
-        prepared = rates_for(protocol, mu, gys)(self.DISTANCES)
-        expected = rate_at(protocol, mu, gys, self.DISTANCES).rate
-        assert prepared.tolist() == expected.tolist()
-        assert (np.signbit(prepared) == np.signbit(expected)).all()
-
-    @pytest.mark.parametrize(
-        "protocol,mu",
-        [
-            ("bb84-decoy", 0.48),
-            ("nonorthogonal-decoy", 0.30),
-            ("sarg04-no-decoy", 0.1),
-            ("sarg04-no-decoy", "optimal"),
-        ],
-    )
+    @pytest.mark.parametrize("protocol,mu", PROTOCOL_KINDS)
     def test_empty_distance_array_gives_empty_rates(self, gys, protocol, mu):
         empty = np.zeros(0)
         point = rate_at(protocol, mu, gys, empty)
-        prepared = rates_for(protocol, mu, gys)(empty)
-        for values in (point.distance_km, point.mu, point.rate, prepared):
+        for values in (point.distance_km, point.mu, point.rate):
             assert values.shape == (0,)
 
     def test_empty_tally_is_in_range(self):
