@@ -14,7 +14,8 @@ once per set.
 The tallies are positional: one ``ObservedTally`` with the classes vacuum,
 nu3, nu2, nu1, mu on axis 0, which one (2, 5) coefficient matrix maps to
 Y1L and Y2L. The bounds are elementwise in distance, with arrays over
-distances in and out, and ``PhotonBounds.clamps`` marks each clamp per element.
+distances in and out, and ``PhotonBounds.clamps``, built on first read, marks
+each clamp per element.
 """
 
 from __future__ import annotations
@@ -146,6 +147,9 @@ class IntensitySet:
 #: The caps of e1U and e2U.
 _ERROR_CAPS = _read_only(np.array((E_VACUUM, 1.0)))
 
+#: n! for the photon numbers n = 1, 2.
+_FACTORIALS = _read_only(np.array((1.0, 2.0)))
+
 _CLAMP_NAMES = (
     "single-photon bound vacuous (Y1L <= 0)",
     "Y1L clamped to 1",
@@ -172,7 +176,21 @@ class PhotonBounds:
     y2_lower: float
     q2_lower: float
     e2_upper: float
-    clamps: np.ndarray | None = field(default=None, compare=False)
+    #: the unclamped Y_nL and e_nU and the e_nU caps, from which ``clamps`` is built
+    _unclamped: tuple | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def clamps(self) -> np.ndarray | None:
+        """Read-only mask of shape (2, 4, *distance shape), built on first read: per
+        photon number and element, where Y_nL was vacuous, Y_nL was clamped to 1,
+        e_nU was clamped to its cap, and e_nU was clamped to 0."""
+        if self._unclamped is None:
+            return None
+        raw_yield, raw_error, cap = self._unclamped
+        vacuous = raw_yield <= 0
+        # built kind first: np.array is quicker than np.stack
+        clamps = np.array((vacuous, raw_yield > 1.0, (raw_error > cap) & ~vacuous, raw_error < 0))
+        return _read_only(clamps.swapaxes(0, 1))
 
     @property
     def flags(self) -> tuple[str, ...]:
@@ -213,10 +231,11 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
     gains, with e^nu and the denominators folded into its rows. A non-positive
     Y1L or Y2L is clamped to zero (no extractable contribution); its error
     bound is then the cap. e1U is clamped into [0, 1/2] and e2U into [0, 1].
-    ``clamps``, of shape (2, 4, *distance shape), marks per photon number and
-    element where Y_nL was vacuous, Y_nL was clamped to 1, e_nU to its cap,
-    and e_nU to 0. e2U inherits the whole nu3 error budget (including the
-    single-photon share), so it is loose and grows like 1/nu3^2 as nu3 shrinks.
+    ``clamps``, of shape (2, 4, *distance shape) and built on first read, marks
+    per photon number and element where Y_nL was vacuous, Y_nL was clamped to
+    1, e_nU to its cap, and e_nU to 0. e2U inherits the whole nu3 error budget
+    (including the single-photon share), so it is loose and grows like 1/nu3^2
+    as nu3 shrinks.
     """
     if not isinstance(intensities, IntensitySet):
         raise TypeError(f"intensities must be an IntensitySet, got {type(intensities).__name__}")
@@ -238,7 +257,6 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
     weight = np.array((error_weight, 2.0 * error_weight))
     scale = np.array((s.nu3, s.nu3**2)).reshape(column)
     cap = _ERROR_CAPS.reshape(column)
-    vacuous = raw_yield <= 0
     # np.clip's signs of zero, which differ with scalar and array bounds
     y = np.minimum(np.maximum(0.0, raw_yield), 1.0)
     denominator = y * scale
@@ -246,12 +264,10 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
     raw_error = np.full(denominator.shape, np.inf)
     np.divide(weight, denominator, out=raw_error, where=denominator != 0)
     error = np.minimum(np.maximum(raw_error, 0.0), cap)
-    clamps = np.array((vacuous, raw_yield > 1.0, (raw_error > cap) & ~vacuous, raw_error < 0))
-    (y1, y2), (e1, e2) = y, error
     exp_neg_mu = math.exp(-s.mu)
+    # Q_nL = Y_nL mu^n e^(-mu) / n!, both photon numbers in one product
+    q = y * np.array((s.mu, s.mu**2)).reshape(column) * exp_neg_mu / _FACTORIALS.reshape(column)
+    (y1, y2), (e1, e2), (q1, q2) = y, error, q
     return PhotonBounds(
-        y0, E_VACUUM, y0 * exp_neg_mu,
-        y1, e1, y1 * s.mu * exp_neg_mu,
-        y2, y2 * s.mu**2 * exp_neg_mu / 2.0, e2,
-        clamps.swapaxes(0, 1),  # built kind first: np.array is quicker than np.stack
+        y0, E_VACUUM, y0 * exp_neg_mu, y1, e1, q1, y2, q2, e2, (raw_yield, raw_error, cap)
     )

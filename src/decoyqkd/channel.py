@@ -34,7 +34,7 @@ class UndefinedQberError(ValueError):
 
 def _holds(ok) -> bool:
     """Whether a test holds at every element (``ok`` is a bool or a boolean array)."""
-    return bool(ok.all() if isinstance(ok, np.ndarray) else ok)
+    return bool(np.logical_and.reduce(ok, axis=None) if isinstance(ok, np.ndarray) else ok)
 
 
 #: The range each ChannelParams field must lie in: (name, low, high, requirement).

@@ -97,11 +97,11 @@ def untagged_fraction(signal_tally: ObservedTally) -> float:
         raise ValueError("untagged fraction is undefined at zero gain")
     mu = signal_tally.intensity
     decay = np.exp(-mu)
-    tagged = np.where(
-        mu < _SERIES_MU,
-        decay * mu**3 / 6.0 * (1.0 + mu / 4.0 + mu**2 / 20.0 + mu**3 / 120.0 + mu**4 / 840.0),
-        1.0 - (1.0 + mu + mu**2 / 2.0) * decay,
-    )
+    tagged = 1.0 - (1.0 + mu + mu**2 / 2.0) * decay
+    weak = mu < _SERIES_MU
+    if np.count_nonzero(weak):  # the series only where some element needs it
+        series = 1.0 + mu / 4.0 + mu**2 / 20.0 + mu**3 / 120.0 + mu**4 / 840.0
+        tagged = np.where(weak, decay * mu**3 / 6.0 * series, tagged)
     with np.errstate(over="ignore"):  # a gain near the float floor: Omega = -inf is the limit
         return 1.0 - tagged / signal_tally.gain
 
@@ -130,6 +130,8 @@ def rate_sarg04_worst(signal_tally: ObservedTally, q0: float, omega: float) -> f
 _MU_LO = 1e-15
 _MU_CELL = (2.0 - _MU_LO) / 2**41
 _NEWTON_STEPS = 5
+#: mu^2 e^(-mu) at mu = 1e-15, the second term of the doubled residual there.
+_LO_DECAY = _MU_LO**2 * float(np.exp(-_MU_LO))
 
 
 def optimal_mu_sarg04(eta: float) -> float:
@@ -157,16 +159,16 @@ def optimal_mu_sarg04(eta: float) -> float:
     if not ((eta >= 0) & (eta <= 1)).all():
         raise ValueError(f"transmittance must be in [0, 1], got {eta}")
     two_eta = 2.0 * eta
-    lo = np.full(eta.shape, _MU_LO)
     # the residual eta e^(-eta mu) - (1/2) mu^2 e^(-mu), doubled, is negative
     # at 1e-15 where the root lies below it; Newton solves for 1e-15 there
-    tiny = two_eta * np.exp(-eta * lo) - lo**2 * np.exp(-lo) < 0
+    tiny = two_eta * np.exp(-eta * _MU_LO) - _LO_DECAY < 0
     k = 0.5 * (1.0 - eta)
     root = np.sqrt(two_eta)
-    mu = start = np.where(tiny, lo, root)
+    mu = start = np.where(tiny, _MU_LO, root)
     log_target = np.log(start)
     for _ in range(_NEWTON_STEPS):
-        mu = mu - mu * (np.log(mu) - k * mu - log_target) / (1.0 - k * mu)
+        k_mu = k * mu
+        mu = mu - mu * (np.log(mu) - k_mu - log_target) / (1.0 - k_mu)
     # a root within round-off under 1e-15 still belongs to the first cell
     cell = np.maximum(np.floor((mu - _MU_LO) / _MU_CELL), 0.0)
     return np.where(tiny, root, _MU_LO + (cell + 0.5) * _MU_CELL)[()]

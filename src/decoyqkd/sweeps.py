@@ -57,6 +57,15 @@ SCAN_LIMIT_KM = 1000.0
 #: cutoffs are 96.7-146.9 km.
 FIRST_SCAN_KM = 250.0
 
+#: The coarse grid of the cutoff search, the number of its points up to
+#: FIRST_SCAN_KM, and the offsets of the lattice that splits one coarse step
+#: into 2^k steps of at most RESOLUTION_KM; read-only, shared by every search.
+_COARSE_GRID = np.arange(0.0, SCAN_LIMIT_KM + COARSE_STEP_KM, COARSE_STEP_KM)
+_FIRST_SCAN_POINTS = int(FIRST_SCAN_KM / COARSE_STEP_KM) + 1
+_LATTICE_STEPS = 2 ** math.ceil(math.log2(COARSE_STEP_KM / RESOLUTION_KM))
+_LATTICE_OFFSETS = np.arange(_LATTICE_STEPS + 1) * (COARSE_STEP_KM / _LATTICE_STEPS)
+_COARSE_GRID.flags.writeable = _LATTICE_OFFSETS.flags.writeable = False
+
 #: Sentinel for per-distance optimization of the signal intensity
 #: (sarg04-no-decoy only).
 OPTIMAL_MU = "optimal"
@@ -208,20 +217,18 @@ def _cutoff_km(protocol: str, rates: Callable[[np.ndarray], np.ndarray]) -> floa
     then. So where an earlier coarse point is not secure, the points past
     FIRST_SCAN_KM are not evaluated and raise nothing.
     """
-    grid = np.arange(0.0, SCAN_LIMIT_KM + COARSE_STEP_KM, COARSE_STEP_KM)
-    first = int(FIRST_SCAN_KM / COARSE_STEP_KM) + 1
-    secure = rates(grid[:first]) > 0
-    if secure.all():
-        secure = np.concatenate((secure, rates(grid[first:]) > 0))
+    grid = _COARSE_GRID
+    secure = rates(grid[:_FIRST_SCAN_POINTS]) > 0
+    if np.logical_and.reduce(secure):
+        secure = np.concatenate((secure, rates(grid[_FIRST_SCAN_POINTS:]) > 0))
     if not secure[0]:
         raise NeverSecureError(f"{protocol} has no positive rate even at zero distance")
-    end = int(np.argmin(secure))
+    end = int(secure.argmin())
     if secure[end]:
         raise ScanLimitError(f"rate still positive at the {grid[-1]} km scan limit")
 
-    steps = 2 ** math.ceil(math.log2(COARSE_STEP_KM / RESOLUTION_KM))
-    lattice = grid[end - 1] + np.arange(steps + 1) * (COARSE_STEP_KM / steps)
-    end = int(np.argmin(rates(lattice) > 0))
+    lattice = grid[end - 1] + _LATTICE_OFFSETS
+    end = int((rates(lattice) > 0).argmin())
     return float(0.5 * (lattice[end - 1] + lattice[end]))
 
 

@@ -13,6 +13,7 @@ from decoyqkd import (
     balance_residual,
     construct_intensity_set,
     estimate_photon_bounds,
+    exact_bounds,
     exact_stats,
     synthesize_tallies,
 )
@@ -79,6 +80,36 @@ def with_vacuum(vacuum, params, s):
     return ObservedTally(
         *(np.r_[getattr(vacuum, f), getattr(honest, f)[1:]] for f in ("intensity", "gain", "qber"))
     )
+
+
+def every_clamp_tallies(s):
+    """One crafted column per clamp pattern: both bounds vacuous; Y1L > 1 with
+    e1U < 0 (E_nu3 = 0 against Y0 = 1/2); Y2L > 1 with e2U < 0; and positive
+    Y1L and Y2L charged the whole nu3 error budget (E_nu3 = 1), so that e1U
+    exceeds 1/2 and e2U exceeds 1."""
+    return ObservedTally(
+        np.array([0.0, s.nu3, s.nu2, s.nu1, s.mu]),
+        np.array(
+            [
+                [0.0, 0.5, 0.5, 0.0],
+                [0.5, 0.0, 0.0, 0.1],
+                [0.1, 1.0, 0.0, 0.1],
+                [0.1, 0.0, 1.0, 0.1],
+                [0.9, 0.0, 0.0, 0.0],
+            ]
+        ),
+        np.array([[0.5] * 4, [0.1, 0.0, 0.0, 1.0], [0.1] * 4, [0.1] * 4, [0.1] * 4]),
+    )
+
+
+#: The clamps of every_clamp_tallies: per column, photon numbers 1 and 2, each
+#: (vacuous, Y clamped to 1, e clamped to the cap, e clamped to 0).
+EVERY_CLAMP_MASK = [
+    [[1, 0, 0, 0], [1, 0, 0, 0]],
+    [[0, 1, 0, 1], [1, 0, 0, 0]],
+    [[0, 1, 0, 1], [0, 1, 0, 1]],
+    [[0, 0, 1, 0], [0, 1, 1, 0]],
+]
 
 
 class TestEstimateBackground:
@@ -153,25 +184,8 @@ class TestBoundSinglePhoton:
         assert any("vacuous" in flag for flag in result.flags)
 
     def test_every_clamp_flag_in_order(self):
-        # one crafted column per clamp pattern: both bounds vacuous; Y1L > 1
-        # with e1U < 0 (E_nu3 = 0 against Y0 = 1/2); Y2L > 1 with e2U < 0; and
-        # positive Y1L and Y2L charged the whole nu3 error budget (E_nu3 = 1),
-        # so that e1U exceeds 1/2 and e2U exceeds 1
         s = balanced_set(0.30, nu3=0.05)
-        tallies = ObservedTally(
-            np.array([0.0, s.nu3, s.nu2, s.nu1, s.mu]),
-            np.array(
-                [
-                    [0.0, 0.5, 0.5, 0.0],
-                    [0.5, 0.0, 0.0, 0.1],
-                    [0.1, 1.0, 0.0, 0.1],
-                    [0.1, 0.0, 1.0, 0.1],
-                    [0.9, 0.0, 0.0, 0.0],
-                ]
-            ),
-            np.array([[0.5] * 4, [0.1, 0.0, 0.0, 1.0], [0.1] * 4, [0.1] * 4, [0.1] * 4]),
-        )
-        result = estimate_photon_bounds(tallies, s)
+        result = estimate_photon_bounds(every_clamp_tallies(s), s)
         assert result.flags == (
             "single-photon bound vacuous (Y1L <= 0)",
             "Y1L clamped to 1",
@@ -182,18 +196,22 @@ class TestBoundSinglePhoton:
             "e2U clamped to 1",
             "e2U clamped to 0",
         )
-        # per column, photon numbers 1 and 2, each (vacuous, Y clamped to 1,
-        # e clamped to the cap, e clamped to 0)
-        assert result.clamps.astype(int).transpose(2, 0, 1).tolist() == [
-            [[1, 0, 0, 0], [1, 0, 0, 0]],
-            [[0, 1, 0, 1], [1, 0, 0, 0]],
-            [[0, 1, 0, 1], [0, 1, 0, 1]],
-            [[0, 0, 1, 0], [0, 1, 1, 0]],
-        ]
+        assert result.clamps.astype(int).transpose(2, 0, 1).tolist() == EVERY_CLAMP_MASK
         assert result.y1_lower[:2].tolist() == [0.0, 1.0]
         assert result.e1_upper.tolist() == [0.5, 0.0, 0.0, 0.5]
         assert result.y2_lower[:3].tolist() == [0.0, 0.0, 1.0]
         assert result.e2_upper.tolist() == [1.0, 1.0, 0.0, 1.0]
+
+    def test_clamp_mask_built_once_read_only(self, gys):
+        s = balanced_set(0.30, nu3=0.05)
+        result = estimate_photon_bounds(every_clamp_tallies(s), s)
+        assert "clamps" not in vars(result)  # not built until read
+        clamps = result.clamps
+        assert result.clamps is clamps
+        assert clamps.astype(int).transpose(2, 0, 1).tolist() == EVERY_CLAMP_MASK
+        with pytest.raises(ValueError, match="read-only"):
+            clamps[0, 0, 0] = False
+        assert exact_bounds(0.30, gys.at_distance(np.arange(3.0))).clamps is None
 
     def test_gain_relation(self, gys):
         params = gys.at_distance(40)

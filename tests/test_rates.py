@@ -127,14 +127,24 @@ class TestUntaggedFraction:
         # the optimal mu = sqrt(2 eta), about mu^3/2
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 50
-        for mu in (1e-7, 1.01e-5, 3e-5, 1e-4, 4.9e-4):
-            gain = mu**3 / 2
+
+        def exact(mu, gain):
             m = mpmath.mpf(mu)
             tagged = 1 - (1 + m + m**2 / 2) * mpmath.exp(-m)
-            expected = float(1 - tagged / mpmath.mpf(gain))
-            assert untagged_fraction(ObservedTally(mu, gain, 0.1)) == pytest.approx(
-                expected, rel=1e-12
-            ), mu
+            return pytest.approx(float(1 - tagged / mpmath.mpf(gain)), rel=1e-12)
+
+        for mu in (1e-7, 1.01e-5, 3e-5, 1e-4, 4.9e-4):
+            gain = mu**3 / 2
+            assert untagged_fraction(ObservedTally(mu, gain, 0.1)) == exact(mu, gain), mu
+        # an array that straddles the series threshold 5e-4 takes the series
+        # only where mu is below it, and equals its scalar calls bit for bit
+        mus = np.array([1e-7, 4.9e-4, 5e-4, 0.3])
+        gains = mus**3 / 2
+        omegas = untagged_fraction(ObservedTally(mus, gains, np.full(4, 0.1))).tolist()
+        for mu, gain, omega in zip(mus.tolist(), gains.tolist(), omegas):
+            assert omega == untagged_fraction(ObservedTally(mu, gain, 0.1)), mu
+            if mu < 5e-4:
+                assert omega == exact(mu, gain), mu
 
 
 class TestRateSarg04Worst:

@@ -338,6 +338,11 @@ class TestPinnedOutputs:
         ("0x1.424c662ffcb7ap-11", "-0x1.cf76ce2b910fap-18", "-0x1.60638d8118840p-21"),
         ("0x1.f4fa47abb40c1p-11", "0x1.85b043d07a36cp-19", "-0x1.ce2842d82baa8p-24"),
     )
+    #: A link without dark counts, where the optimal SARG04 mu falls from 1.4e-3
+    #: past untagged_fraction's series threshold 5e-4 to 4.5e-4 and 4.5e-5 at 250,
+    #: 300 and 400 km, and the optimal-SARG04 rates there
+    DARK_FREE = ChannelParams(0.2, 0.0, 0.1, 0.0, 0.02, 1.0)
+    WEAK_SOURCE_RATES = ("0x1.33b8f0523492ap-33", "0x1.374da58228ad9p-38", "0x1.3ebc7c0be155cp-48")
 
     @pytest.mark.parametrize("link", ["gys", "low_loss"])
     def test_cutoffs_and_ceilings(self, gys, link):
@@ -351,6 +356,12 @@ class TestPinnedOutputs:
         for (protocol, mu), pinned in zip(self.KINDS, self.RATES):
             rates = rate_at(protocol, mu, gys, np.array([0.0, 75.0, 140.0])).rate
             assert tuple(r.hex() for r in rates.tolist()) == pinned, (protocol, mu)
+
+    def test_weak_source_rates(self):
+        distances = np.array([250.0, 300.0, 400.0])
+        point = rate_at("sarg04-no-decoy", "optimal", self.DARK_FREE, distances)
+        assert point.mu[0] > 5e-4 > point.mu[1] > point.mu[2]
+        assert tuple(r.hex() for r in point.rate.tolist()) == self.WEAK_SOURCE_RATES
 
 
 class TestCallCounts:
