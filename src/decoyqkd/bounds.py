@@ -135,13 +135,13 @@ class IntensitySet:
         folded in, class by class: row i holds class i's (Y1L, Y2L) coefficients."""
         mu, nu1, nu2, nu3 = self.mu, self.nu1, self.nu2, self.nu3
         signal_1, signal_2 = nu2**2 - nu3**2, 2.0 * (nu1 - nu2)
-        numerators = np.array([
-            [signal_1, -(mu**2), mu**2, 0.0, -signal_1],
-            [signal_2, 0.0, -2.0 * mu, 2.0 * mu, -signal_2],
-        ])
-        boost = np.array([1.0, math.exp(nu3), math.exp(nu2), math.exp(nu1), math.exp(mu)])
-        matrix = numerators * boost / np.array(_denominators(self))[:, None]
-        return _read_only(np.ascontiguousarray(matrix.T))
+        y1_numerators = (signal_1, -(mu**2), mu**2, 0.0, -signal_1)
+        y2_numerators = (signal_2, 0.0, -2.0 * mu, 2.0 * mu, -signal_2)
+        boost = (1.0, math.exp(nu3), math.exp(nu2), math.exp(nu1), math.exp(mu))
+        d1, d2 = _denominators(self)
+        # each entry numerator * e^nu / denominator, as numbers; one array call
+        rows = [(a * e / d1, b * e / d2) for a, b, e in zip(y1_numerators, y2_numerators, boost)]
+        return _read_only(np.array(rows))
 
 
 #: The caps of e1U and e2U.
@@ -241,7 +241,7 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
         raise TypeError(f"intensities must be an IntensitySet, got {type(intensities).__name__}")
     s = intensities
     expected = s.classes.tolist()
-    observed = np.ravel(tallies.intensity).tolist()
+    observed = np.asarray(tallies.intensity).ravel().tolist()
     if observed != expected:
         raise ValueError(
             f"tally intensities {observed} do not match the set's vacuum, nu3, nu2, nu1, mu "
@@ -250,11 +250,16 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
     gain = tallies.gain
     y0 = gain[0]
     # photon numbers 1 and 2 on axis 0, broadcast against the distances
-    column = (2,) + (1,) * np.ndim(y0)
-    # summed class by class in a fixed order: a BLAS product rounds differently at each width
-    raw_yield = sum(s.coefficients.reshape((5,) + column) * gain[:, None])
-    error_weight = tallies.qber[1] * gain[1] * math.exp(s.nu3) - E_VACUUM * y0
-    weight = np.array((error_weight, 2.0 * error_weight))
+    column = (2,) + (1,) * y0.ndim
+    # summed class by class in a fixed order (a BLAS product rounds differently
+    # at each width): the reduction over axis 0 adds the classes in order, as
+    # Python's sum would. Only a zero's sign can differ, since sum starts from the
+    # integer 0 and so turns -0.0 into +0.0; the clamp below gives +0.0 for
+    # either, and the clamp mask tests <= 0
+    raw_yield = np.add.reduce(s.coefficients.reshape((5,) + column) * gain[:, None], 0)
+    factorials = _FACTORIALS.reshape(column)
+    # n! (E_nu3 Q_nu3 e^nu3 - e0 Y0), the numerator of e_nU
+    weight = (tallies.qber[1] * gain[1] * math.exp(s.nu3) - E_VACUUM * y0) * factorials
     scale = np.array((s.nu3, s.nu3**2)).reshape(column)
     cap = _ERROR_CAPS.reshape(column)
     # np.clip's signs of zero, which differ with scalar and array bounds
@@ -266,8 +271,8 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
     error = np.minimum(np.maximum(raw_error, 0.0), cap)
     exp_neg_mu = math.exp(-s.mu)
     # Q_nL = Y_nL mu^n e^(-mu) / n!, both photon numbers in one product
-    q = y * np.array((s.mu, s.mu**2)).reshape(column) * exp_neg_mu / _FACTORIALS.reshape(column)
-    (y1, y2), (e1, e2), (q1, q2) = y, error, q
+    q = y * np.array((s.mu, s.mu**2)).reshape(column) * exp_neg_mu / factorials
     return PhotonBounds(
-        y0, E_VACUUM, y0 * exp_neg_mu, y1, e1, q1, y2, q2, e2, (raw_yield, raw_error, cap)
+        y0, E_VACUUM, y0 * exp_neg_mu, y[0], error[0], q[0], y[1], q[1], error[1],
+        (raw_yield, raw_error, cap),
     )

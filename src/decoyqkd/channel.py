@@ -72,7 +72,11 @@ class ChannelParams:
     def __post_init__(self):
         for name, low, high, requirement in _CHANNEL_RANGES:
             value = getattr(self, name)
-            if not _holds((value >= low) & (value <= high)):
+            if isinstance(value, float):  # NaN fails the chained test too
+                holds = low <= value <= high
+            else:
+                holds = _holds((value >= low) & (value <= high))
+            if not holds:
                 raise ParameterError(f"{name} must be {requirement}")
 
     def at_distance(self, distance_km: float) -> "ChannelParams":
@@ -177,15 +181,16 @@ def honest_tally(intensity: float, params: ChannelParams) -> ObservedTally:
     if not _holds(intensity >= 0):
         raise ParameterError("intensity must be >= 0")
     eta = transmittance(params)
-    # 1 - e^(-eta * intensity) by expm1: exact at the vacuum (Y0 + 0 is Y0),
-    # and no cancellation to 0 where eta * intensity is below about 1e-16
-    hit = -np.expm1(-eta * intensity)
-    gain = np.minimum(params.y0 + hit, 1.0)
+    # e^(-eta * intensity) - 1, the negated probability of a hit, by expm1:
+    # exact at the vacuum (Y0 - 0 is Y0), and no cancellation to 0 where
+    # eta * intensity is below about 1e-16
+    minus_hit = np.expm1(-eta * intensity)
+    gain = np.minimum(params.y0 - minus_hit, 1.0)
     # the vacuum's QBER is that of the dark counts, 1/2, even at zero gain
     sent = intensity != 0
     if np.count_nonzero((gain <= 0) & sent):
         raise UndefinedQberError("QBER is undefined at zero gain")
-    numerator = E_VACUUM * params.y0 + params.e_det * hit
+    numerator = E_VACUUM * params.y0 - params.e_det * minus_hit
     qber = np.divide(numerator, gain, out=np.full(np.shape(gain), E_VACUUM), where=sent)
     return ObservedTally(intensity, gain, qber[()])
 

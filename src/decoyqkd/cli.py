@@ -9,8 +9,9 @@ and prints the maximal secure distance of each protocol.
 
 Each option is declared once, in ``OPTIONS``, and reaches the sweeps by one
 path. Its text is the flag, else the value in a flat key=value config file
-(UTF-8, ``#`` comments, the option names as keys), else the default; that
-text is parsed once by the option's own function, wherever it came from.
+(UTF-8 with or without a byte order mark, ``#`` comments, the option names as
+keys), else the default; that text is parsed once by the option's own
+function, wherever it came from.
 """
 
 from __future__ import annotations
@@ -103,8 +104,9 @@ def load_config_file(path: Path) -> dict[str, str]:
     """Parse a flat key=value config file; keys other than option names are rejected."""
     values: dict[str, str] = {}
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        # utf-8-sig: a byte order mark, which some editors write, is not part of the first key
+        text = path.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

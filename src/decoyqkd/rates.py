@@ -45,18 +45,26 @@ class KeyRatePoint:
     rate: float
 
 
+def _in_unit_interval(x: np.ndarray) -> bool:
+    """Whether every element of ``x`` lies in [0, 1]: False if any is NaN, True if
+    there is none (the identities of the two reductions)."""
+    low = np.minimum.reduce(x, None, initial=np.inf)
+    return low >= 0 and np.maximum.reduce(x, None, initial=-np.inf) <= 1
+
+
 def binary_entropy(x: float) -> float:
     """Binary Shannon entropy H2(x) = -x log2 x - (1-x) log2 (1-x), in bits.
 
     Elementwise; H2(0) = H2(1) = 0 by continuous extension.
     """
     x = np.asarray(x, dtype=float)
-    if not ((x >= 0.0) & (x <= 1.0)).all():
+    if not _in_unit_interval(x):
         raise ValueError(f"binary entropy argument must be in [0, 1], got {x}")
     inner = (x > 0.0) & (x < 1.0)
     # the endpoints take the value 1/2 in the logs and are then overwritten
     safe = np.where(inner, x, 0.5)
-    return np.where(inner, -safe * np.log2(safe) - (1.0 - safe) * np.log2(1.0 - safe), 0.0)[()]
+    other = 1.0 - safe
+    return np.where(inner, -safe * np.log2(safe) - other * np.log2(other), 0.0)[()]
 
 
 def rate_bb84_decoy(signal_tally: ObservedTally, bounds: PhotonBounds, f_ec: float) -> float:
@@ -132,6 +140,9 @@ _MU_CELL = (2.0 - _MU_LO) / 2**41
 _NEWTON_STEPS = 5
 #: mu^2 e^(-mu) at mu = 1e-15, the second term of the doubled residual there.
 _LO_DECAY = _MU_LO**2 * float(np.exp(-_MU_LO))
+#: From this transmittance on, the doubled residual at 1e-15 is positive:
+#: 2 eta e^(-eta 1e-15) >= 2e-30 e^(-1e-15), twice _LO_DECAY.
+_TINY_ETA = 1e-30
 
 
 def optimal_mu_sarg04(eta: float) -> float:
@@ -156,22 +167,28 @@ def optimal_mu_sarg04(eta: float) -> float:
     sqrt(2 eta) to double precision: 0 at eta = 0, where no signal arrives.
     """
     eta = np.asarray(eta, dtype=float)
-    if not ((eta >= 0) & (eta <= 1)).all():
+    if not _in_unit_interval(eta):
         raise ValueError(f"transmittance must be in [0, 1], got {eta}")
     two_eta = 2.0 * eta
-    # the residual eta e^(-eta mu) - (1/2) mu^2 e^(-mu), doubled, is negative
-    # at 1e-15 where the root lies below it; Newton solves for 1e-15 there
-    tiny = two_eta * np.exp(-eta * _MU_LO) - _LO_DECAY < 0
     k = 0.5 * (1.0 - eta)
-    root = np.sqrt(two_eta)
-    mu = start = np.where(tiny, _MU_LO, root)
+    mu = start = root = np.sqrt(two_eta)
+    # the residual eta e^(-eta mu) - (1/2) mu^2 e^(-mu), doubled, is negative
+    # at 1e-15 where the root lies below it; Newton solves for 1e-15 there.
+    # That takes an eta below _TINY_ETA, so it is tested only if some eta is
+    near_zero = np.count_nonzero(eta < _TINY_ETA)
+    if near_zero:
+        tiny = two_eta * np.exp(-eta * _MU_LO) - _LO_DECAY < 0
+        mu = start = np.where(tiny, _MU_LO, root)
     log_target = np.log(start)
     for _ in range(_NEWTON_STEPS):
         k_mu = k * mu
         mu = mu - mu * (np.log(mu) - k_mu - log_target) / (1.0 - k_mu)
     # a root within round-off under 1e-15 still belongs to the first cell
     cell = np.maximum(np.floor((mu - _MU_LO) / _MU_CELL), 0.0)
-    return np.where(tiny, root, _MU_LO + (cell + 0.5) * _MU_CELL)[()]
+    mu = _MU_LO + (cell + 0.5) * _MU_CELL
+    if near_zero:
+        mu = np.where(tiny, root, mu)
+    return mu[()]
 
 
 def rate_nonorthogonal_decoy(
@@ -184,8 +201,10 @@ def rate_nonorthogonal_decoy(
     Unlike BB84, the vacuum and two-photon fractions also contribute key.
     E_mu, e1U and e2U have one shape: one entropy call takes all three, stacked.
     """
-    errors = signal_tally.qber, np.minimum(bounds.e1_upper, 0.5), np.minimum(bounds.e2_upper, 0.5)
-    h_mu, h_1, h_2 = binary_entropy(np.array(errors))
+    errors = np.array((signal_tally.qber, bounds.e1_upper, bounds.e2_upper))
+    bounded = errors[1:]  # e1U and e2U, capped at 1/2 in place
+    np.minimum(bounded, 0.5, out=bounded)
+    h_mu, h_1, h_2 = binary_entropy(errors)
     cost = signal_tally.gain * f_ec * h_mu
     gain_1 = bounds.q1_lower * (1.0 - h_1)
     gain_2 = bounds.q2_lower * (1.0 - h_2)

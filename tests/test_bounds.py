@@ -316,6 +316,20 @@ class TestEstimatePhotonBounds:
         with pytest.raises(TypeError, match="IntensitySet"):
             estimate_photon_bounds(synthesize_tallies(s, gys), look_alike)
 
+    @pytest.mark.parametrize(
+        "distance", [np.linspace(0.0, 250.0, 201), 70.0], ids=["201-points", "scalar"]
+    )
+    def test_class_sum_matches_sequential_sum_bitwise(self, gys, distance):
+        # the five classes are added in order, as Python's sum adds them, so a
+        # grid and each of its points give the same bits
+        s = construct_intensity_set(0.48)
+        tallies = synthesize_tallies(s, gys.at_distance(distance))
+        bounds = estimate_photon_bounds(tallies, s)
+        for n, value in enumerate((bounds.y1_lower, bounds.y2_lower)):
+            raw = sum(c * gain for c, gain in zip(s.coefficients[:, n], tallies.gain))
+            expected = np.minimum(np.maximum(0.0, raw), 1.0)
+            assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
+
     @pytest.mark.parametrize("mu", [0.48, 0.30])
     def test_yield_bounds_within_round_off_of_exact_arithmetic(self, gys, mu):
         # the same combinations of the same float tallies and intensities at

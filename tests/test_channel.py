@@ -203,6 +203,10 @@ class TestSynthesizeTallies:
         ("distance_km", np.array([0.0, 50.0, math.nan])),
         ("distance_km", np.array([0.0, math.inf])),
         ("distance_km", np.array([10.0, -1.0])),
+        # a numpy float takes the number test, a 0-d array and an int the array test
+        pytest.param("y0", np.float64(math.nan), id="y0-float64-nan"),
+        pytest.param("distance_km", np.array(math.nan), id="distance_km-0d-nan"),
+        pytest.param("eta_bob", 2, id="eta_bob-int-2"),
     ],
 )
 def test_channel_params_invariants(field, value):

@@ -96,6 +96,20 @@ class TestConfigFile:
             assert run_cli(["--config", str(cfg)]) == EXIT_CONFIG
             assert capsys.readouterr().err.startswith("error: cannot read config file ")
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # some editors start a UTF-8 file with a byte order mark
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfmu = 0.3\nnu3 = 0.02\n")
+        assert load_config_file(cfg) == {"mu": "0.3", "nu3": "0.02"}
+        specs, _ = resolve_config(["--config", str(cfg)])
+        assert specs[0].mu == 0.3
+
+    def test_undecodable_config_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("# caf\xe9\nmu = 0.3\n".encode("latin-1"))
+        assert run_cli(["--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {cfg}: ")
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("\n# full comment\nmu = 0.3  # trailing comment\n\n")

@@ -42,10 +42,24 @@ class TestBinaryEntropy:
         mid = binary_entropy((a + b) / 2)
         assert mid >= (binary_entropy(a) + binary_entropy(b)) / 2 - 1e-14
 
-    @pytest.mark.parametrize("x", [-0.1, 1.1, 2.0])
+    @pytest.mark.parametrize(
+        "x",
+        [-0.1, 1.1, 2.0, math.nan, pytest.param(np.array([0.2, math.nan, 0.4]), id="nan-in-array")],
+    )
     def test_domain_error(self, x):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
             binary_entropy(x)
+
+    def test_empty_array(self):
+        h = binary_entropy(np.zeros(0))
+        assert isinstance(h, np.ndarray) and h.shape == (0,)
+
+    def test_stack_equals_rows_bitwise(self):
+        # the rate formulas take their error rates stacked in one call
+        stack = np.random.default_rng(23).random((3, 51))
+        stack[:, :3] = (0.0, 0.5, 1.0)
+        rows = [binary_entropy(row) for row in stack]
+        assert binary_entropy(stack).tobytes() == np.array(rows).tobytes()
 
 
 def _bounds(**overrides):
@@ -223,6 +237,14 @@ class TestOptimalMuSarg04:
     def test_lossless_link_gives_bisected_sqrt2(self):
         # at eta = 1 the optimum solves mu^2 = 2
         assert optimal_mu_sarg04(1.0) == pytest.approx(_exact_optimal_mu(1.0), abs=2e-12)
+
+    def test_array_equals_scalar_calls_bitwise(self):
+        # either side of 1e-30, below which the root may lie under 1e-15 (it
+        # does up to 4.99e-31): an array with any such element takes that
+        # branch, a scalar above 1e-30 skips it
+        etas = [0.0, 5e-324, 1e-40, 1e-31, 4.99e-31, 5e-31, 1e-30, 2e-30, 1e-3, 1.0]
+        together = optimal_mu_sarg04(np.array(etas)).tolist()
+        assert [mu.hex() for mu in together] == [float(optimal_mu_sarg04(e)).hex() for e in etas]
 
     @pytest.mark.parametrize("eta", [math.nan, -0.1, 1.5])
     def test_invalid_transmittance_rejected(self, eta):
