@@ -13,6 +13,7 @@ intensity's.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -74,8 +75,10 @@ class ChannelParams:
             value = getattr(self, name)
             if isinstance(value, float):  # NaN fails the chained test too
                 holds = low <= value <= high
-            else:
-                holds = _holds((value >= low) & (value <= high))
+            else:  # a NaN makes a reduction NaN and fails; an empty array passes
+                value = np.asarray(value, dtype=float)
+                holds = np.minimum.reduce(value, None, initial=np.inf) >= low
+                holds = holds and np.maximum.reduce(value, None, initial=-np.inf) <= high
             if not holds:
                 raise ParameterError(f"{name} must be {requirement}")
 
@@ -123,11 +126,12 @@ class ObservedTally:
         # one test of all three ranges, which NaN fails; the tests below run
         # only where it fails, to name the first field out of range
         low, high = np.minimum(self.gain, self.qber), np.maximum(self.gain, self.qber)
-        # NaN if any element is; the identities let an empty array through
+        # NaN if any element is; the initial 0 lets an empty array through and,
+        # unlike +-inf, fits an int array
         smallest, largest = np.minimum.reduce, np.maximum.reduce
-        in_range = smallest(self.intensity, None, initial=np.inf) >= 0
-        in_range = in_range and smallest(low, None, initial=np.inf) >= 0
-        if in_range and largest(high, None, initial=-np.inf) <= 1:
+        in_range = smallest(self.intensity, None, initial=0) >= 0
+        in_range = in_range and smallest(low, None, initial=0) >= 0
+        if in_range and largest(high, None, initial=0) <= 1:
             return
         if not _holds(self.intensity >= 0):
             raise ParameterError("intensity must be >= 0")
@@ -157,14 +161,23 @@ def poisson_weight(mu: float, n: int) -> float:
     return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
 
 
+#: transmittance's guard where alpha * distance cannot overflow.
+_NO_GUARD = contextlib.nullcontext()
+
+
 def transmittance(params: ChannelParams) -> float:
     """Overall single-photon transmission probability.
 
     eta = eta_bob * 10^(-alpha * distance / 10)
     """
+    alpha = params.alpha_db_per_km
+    # alpha * distance above ~1.8e308 overflows, where eta = 0 is the limit. An
+    # alpha <= 1 keeps it within the distance's float range; 10^(x <= 0) can
+    # only underflow, which numpy ignores by default
+    guard = _NO_GUARD if isinstance(alpha, float) and alpha <= 1.0 else np.errstate(over="ignore")
     # np.power: ** on a Python float can round differently from the array loop
-    with np.errstate(over="ignore"):  # alpha * distance above ~1.8e308: eta = 0 is the limit
-        return params.eta_bob * np.power(10.0, -params.alpha_db_per_km * params.distance_km / 10.0)
+    with guard:
+        return params.eta_bob * np.power(10.0, -alpha * params.distance_km / 10.0)
 
 
 def honest_tally(intensity: float, params: ChannelParams) -> ObservedTally:
@@ -178,7 +191,7 @@ def honest_tally(intensity: float, params: ChannelParams) -> ObservedTally:
     broadcasting. A vacuum class (intensity 0) has QBER 1/2 even at zero
     gain; any other class with zero gain raises ``UndefinedQberError``.
     """
-    if not _holds(intensity >= 0):
+    if not np.minimum.reduce(intensity, None, initial=0) >= 0:  # NaN fails too
         raise ParameterError("intensity must be >= 0")
     eta = transmittance(params)
     # e^(-eta * intensity) - 1, the negated probability of a hit, by expm1:
@@ -188,7 +201,7 @@ def honest_tally(intensity: float, params: ChannelParams) -> ObservedTally:
     gain = np.minimum(params.y0 - minus_hit, 1.0)
     # the vacuum's QBER is that of the dark counts, 1/2, even at zero gain
     sent = intensity != 0
-    if np.count_nonzero((gain <= 0) & sent):
+    if np.minimum.reduce(gain, None, initial=1, where=sent) <= 0:
         raise UndefinedQberError("QBER is undefined at zero gain")
     numerator = E_VACUUM * params.y0 - params.e_det * minus_hit
     qber = np.divide(numerator, gain, out=np.full(np.shape(gain), E_VACUUM), where=sent)

@@ -52,6 +52,11 @@ def _in_unit_interval(x: np.ndarray) -> bool:
     return low >= 0 and np.maximum.reduce(x, None, initial=-np.inf) <= 1
 
 
+#: The smallest subnormal float: np.maximum(x, _TINY) is x for every x in
+#: (0, 1], and lifts 0 to a number whose log is finite.
+_TINY = 5e-324
+
+
 def binary_entropy(x: float) -> float:
     """Binary Shannon entropy H2(x) = -x log2 x - (1-x) log2 (1-x), in bits.
 
@@ -60,11 +65,10 @@ def binary_entropy(x: float) -> float:
     x = np.asarray(x, dtype=float)
     if not _in_unit_interval(x):
         raise ValueError(f"binary entropy argument must be in [0, 1], got {x}")
-    inner = (x > 0.0) & (x < 1.0)
-    # the endpoints take the value 1/2 in the logs and are then overwritten
-    safe = np.where(inner, x, 0.5)
-    other = 1.0 - safe
-    return np.where(inner, -safe * np.log2(safe) - other * np.log2(other), 0.0)[()]
+    other = 1.0 - x
+    # at x = 0 or 1 a zero factor meets the finite log of _TINY: both terms
+    # are signed zeros and H2 is +0.0; inside (0, 1) the logs take x and 1 - x
+    return (-x * np.log2(np.maximum(x, _TINY)) - other * np.log2(np.maximum(other, _TINY)))[()]
 
 
 def rate_bb84_decoy(signal_tally: ObservedTally, bounds: PhotonBounds, f_ec: float) -> float:
@@ -101,7 +105,7 @@ def untagged_fraction(signal_tally: ObservedTally) -> float:
     e^(-mu) mu^3/6 (1 + mu/4 + mu^2/20 + mu^3/120 + mu^4/840), whose first
     omitted term is mu^5/6720 of it.
     """
-    if np.count_nonzero(signal_tally.gain <= 0):
+    if np.minimum.reduce(signal_tally.gain, None, initial=1) <= 0:  # 1: a gain may be an int
         raise ValueError("untagged fraction is undefined at zero gain")
     mu = signal_tally.intensity
     decay = np.exp(-mu)
@@ -175,7 +179,7 @@ def optimal_mu_sarg04(eta: float) -> float:
     # the residual eta e^(-eta mu) - (1/2) mu^2 e^(-mu), doubled, is negative
     # at 1e-15 where the root lies below it; Newton solves for 1e-15 there.
     # That takes an eta below _TINY_ETA, so it is tested only if some eta is
-    near_zero = np.count_nonzero(eta < _TINY_ETA)
+    near_zero = np.minimum.reduce(eta, None, initial=1.0) < _TINY_ETA
     if near_zero:
         tiny = two_eta * np.exp(-eta * _MU_LO) - _LO_DECAY < 0
         mu = start = np.where(tiny, _MU_LO, root)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,26 @@ class TestTransmittance:
         etas = [transmittance(gys.at_distance(d)) for d in range(0, 200, 10)]
         assert all(a > b for a, b in zip(etas, etas[1:]))
 
+    @pytest.mark.parametrize(
+        "alpha,distance",
+        [
+            # an alpha <= 1 keeps alpha * distance finite, and the overflow guard is skipped
+            (1.0, 1.7e308),
+            # above 1 the guard is entered; at 5 dB/km the product overflows
+            (math.nextafter(1.0, 2.0), 1e308),
+            (5.0, 1e308),
+            (np.array([0.2, 5.0]), 1e308),
+        ],
+        ids=["alpha-1", "alpha-above-1", "alpha-5", "alpha-array"],
+    )
+    def test_far_end_is_dark_without_a_warning(self, gys, alpha, distance):
+        # an array distance takes the product through numpy, which warns on overflow
+        params = ChannelParams(alpha, np.array([distance]), 0.045, 1.7e-6, 0.033, 1.22)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eta = transmittance(params)
+        assert np.all(eta == 0.0)
+
 
 class TestHonestGain:
     def test_vacuum_gives_background(self, gys):
@@ -148,6 +169,17 @@ class TestHonestTally:
         with pytest.raises(ParameterError):
             honest_tally(-0.1, gys)
 
+    def test_nan_intensity_rejected(self, gys):
+        with pytest.raises(ParameterError, match="^intensity must be >= 0$"):
+            honest_tally(np.array([0.1, math.nan]), gys)
+
+    def test_int_intensities_equal_float_ones(self, gys):
+        params = gys.at_distance(10.0)
+        ints, floats = honest_tally(np.array([0, 1, 2]), params), honest_tally(np.arange(3.0), params)
+        assert ints.gain.tobytes() == floats.gain.tobytes()
+        assert ints.qber.tobytes() == floats.qber.tobytes()
+        assert honest_tally(0, params).qber == 0.5
+
 
 class TestSynthesizeTallies:
     def test_five_classes_with_vacuum_first(self, gys):
@@ -218,10 +250,17 @@ def test_channel_params_invariants(field, value):
         ChannelParams(**kwargs)
 
 
-@pytest.mark.parametrize("distance", [math.nan, -1.0, np.array([10.0, math.nan])])
+@pytest.mark.parametrize(
+    "distance", [math.nan, -1.0, np.array([10.0, math.nan]), np.array([1, -1])]
+)
 def test_at_distance_rejects_a_bad_distance(gys, distance):
     with pytest.raises(ParameterError, match=r"^distance_km must be finite and >= 0$"):
         gys.at_distance(distance)
+
+
+@pytest.mark.parametrize("distance", [np.arange(3), np.zeros(0)], ids=["int", "empty"])
+def test_at_distance_accepts_int_and_empty_arrays(gys, distance):
+    assert gys.at_distance(distance).distance_km is distance
 
 
 @pytest.mark.parametrize(

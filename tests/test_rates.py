@@ -54,6 +54,24 @@ class TestBinaryEntropy:
         h = binary_entropy(np.zeros(0))
         assert isinstance(h, np.ndarray) and h.shape == (0,)
 
+    def test_bits_match_the_masked_formula(self):
+        # the formula that wrote 1/2 into the logs at the endpoints and then
+        # overwrote the result with 0.0 there
+        def masked(x):
+            inner = (x > 0.0) & (x < 1.0)
+            safe = np.where(inner, x, 0.5)
+            other = 1.0 - safe
+            return np.where(inner, -safe * np.log2(safe) - other * np.log2(other), 0.0)
+
+        edges = [0.0, 1.0, 5e-324, 1e-310, 2.0**-53, 1.0 - 2.0**-53, 0.5]
+        x = np.concatenate([edges, np.random.default_rng(24).random(100_000)])
+        # tobytes tells +0.0 from -0.0, which == does not
+        assert binary_entropy(x).tobytes() == masked(x).tobytes()
+        for edge in edges:
+            h = binary_entropy(edge)
+            assert type(h) is np.float64
+            assert h.tobytes() == masked(np.array(edge)).tobytes()
+
     def test_stack_equals_rows_bitwise(self):
         # the rate formulas take their error rates stacked in one call
         stack = np.random.default_rng(23).random((3, 51))
@@ -134,6 +152,11 @@ class TestUntaggedFraction:
     def test_zero_gain_rejected(self):
         with pytest.raises(ValueError):
             untagged_fraction(ObservedTally(0.3, 0.0, 0.0))
+
+    @pytest.mark.parametrize("gain", [0, np.array([0.01, 0.0])], ids=["int", "array"])
+    def test_zero_gain_rejected_in_any_form(self, gain):
+        with pytest.raises(ValueError, match="^untagged fraction is undefined at zero gain$"):
+            untagged_fraction(ObservedTally(0.3, gain, 0.0))
 
     def test_weak_source_against_mpmath(self):
         # 1 - (1 + mu + mu^2/2) e^(-mu) cancels to round-off at 1e-7, is 29% off at
@@ -246,7 +269,7 @@ class TestOptimalMuSarg04:
         together = optimal_mu_sarg04(np.array(etas)).tolist()
         assert [mu.hex() for mu in together] == [float(optimal_mu_sarg04(e)).hex() for e in etas]
 
-    @pytest.mark.parametrize("eta", [math.nan, -0.1, 1.5])
+    @pytest.mark.parametrize("eta", [math.nan, -0.1, 1.5, np.array([0.1, math.nan])])
     def test_invalid_transmittance_rejected(self, eta):
         with pytest.raises(ValueError):
             optimal_mu_sarg04(eta)
