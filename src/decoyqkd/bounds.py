@@ -76,8 +76,9 @@ class IntensitySet:
 
     Raises IntensityConstraintError naming each violated constraint.
 
-    The class intensities and the coefficient matrix below are computed on
-    first use and kept with the set, read-only.
+    The class intensities, the coefficient matrix and the estimator's other
+    per-set factors below are computed on first use and kept with the set,
+    read-only.
     """
 
     mu: float
@@ -143,12 +144,27 @@ class IntensitySet:
         rows = [(a * e / d1, b * e / d2) for a, b, e in zip(y1_numerators, y2_numerators, boost)]
         return _read_only(np.array(rows))
 
+    @cached_property
+    def _factors(self) -> tuple:
+        """What ``estimate_photon_bounds`` takes from the set on every call: the
+        class intensities as a list, e^nu3, e^-mu, (nu3, nu3^2) and (mu, mu^2)."""
+        mu, nu3 = self.mu, self.nu3
+        # float64 arrays, as the estimator's array operands should be (see _ZERO)
+        factors = (math.exp(nu3), math.exp(-mu), (nu3, nu3**2), (mu, mu**2))
+        return (self.classes.tolist(), *(_read_only(np.array(f)) for f in factors))
+
 
 #: The caps of e1U and e2U.
 _ERROR_CAPS = _read_only(np.array((E_VACUUM, 1.0)))
 
 #: n! for the photon numbers n = 1, 2.
 _FACTORIALS = _read_only(np.array((1.0, 2.0)))
+
+#: Float64 operands of the array arithmetic below, 0-d and read-only: numpy
+#: converts a Python number again on every ufunc call that takes it, and an
+#: array not at all. Each gives the same bits as the number it stands for.
+_ZERO, _ONE = _read_only(np.array(0.0)), _read_only(np.array(1.0))
+_E0 = _read_only(np.array(E_VACUUM))
 
 _CLAMP_NAMES = (
     "single-photon bound vacuous (Y1L <= 0)",
@@ -239,8 +255,7 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
     """
     if not isinstance(intensities, IntensitySet):
         raise TypeError(f"intensities must be an IntensitySet, got {type(intensities).__name__}")
-    s = intensities
-    expected = s.classes.tolist()
+    expected, exp_nu3, exp_neg_mu, error_scale, gain_scale = intensities._factors
     observed = np.asarray(tallies.intensity).ravel().tolist()
     if observed != expected:
         raise ValueError(
@@ -256,22 +271,21 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
     # Python's sum would. Only a zero's sign can differ, since sum starts from the
     # integer 0 and so turns -0.0 into +0.0; the clamp below gives +0.0 for
     # either, and the clamp mask tests <= 0
-    raw_yield = np.add.reduce(s.coefficients.reshape((5,) + column) * gain[:, None], 0)
+    raw_yield = np.add.reduce(intensities.coefficients.reshape((5,) + column) * gain[:, None], 0)
     factorials = _FACTORIALS.reshape(column)
     # n! (E_nu3 Q_nu3 e^nu3 - e0 Y0), the numerator of e_nU
-    weight = (tallies.qber[1] * gain[1] * math.exp(s.nu3) - E_VACUUM * y0) * factorials
-    scale = np.array((s.nu3, s.nu3**2)).reshape(column)
+    weight = (tallies.qber[1] * gain[1] * exp_nu3 - _E0 * y0) * factorials
     cap = _ERROR_CAPS.reshape(column)
     # np.clip's signs of zero, which differ with scalar and array bounds
-    y = np.minimum(np.maximum(0.0, raw_yield), 1.0)
-    denominator = y * scale
+    y = np.minimum(np.maximum(_ZERO, raw_yield), _ONE)
+    denominator = y * error_scale.reshape(column)
     # e_nU is the cap where Y_nL, or Y_nL times the scale, is 0: it bounds nothing
-    raw_error = np.full(denominator.shape, np.inf)
-    np.divide(weight, denominator, out=raw_error, where=denominator != 0)
-    error = np.minimum(np.maximum(raw_error, 0.0), cap)
-    exp_neg_mu = math.exp(-s.mu)
+    raw_error = np.empty(denominator.shape)
+    raw_error.fill(np.inf)
+    np.divide(weight, denominator, out=raw_error, where=denominator != _ZERO)
+    error = np.minimum(np.maximum(raw_error, _ZERO), cap)
     # Q_nL = Y_nL mu^n e^(-mu) / n!, both photon numbers in one product
-    q = y * np.array((s.mu, s.mu**2)).reshape(column) * exp_neg_mu / factorials
+    q = y * gain_scale.reshape(column) * exp_neg_mu / factorials
     return PhotonBounds(
         y0, E_VACUUM, y0 * exp_neg_mu, y[0], error[0], q[0], y[1], q[1], error[1],
         (raw_yield, raw_error, cap),

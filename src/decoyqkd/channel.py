@@ -164,6 +164,12 @@ def poisson_weight(mu: float, n: int) -> float:
 #: transmittance's guard where alpha * distance cannot overflow.
 _NO_GUARD = contextlib.nullcontext()
 
+#: Float64 operands of the array arithmetic below, 0-d and read-only: numpy
+#: converts a Python number again on every ufunc call that takes it, and an
+#: array not at all. Each gives the same bits as the number it stands for.
+_ZERO, _ONE, _TEN = np.array(0.0), np.array(1.0), np.array(10.0)
+_ZERO.flags.writeable = _ONE.flags.writeable = _TEN.flags.writeable = False
+
 
 def transmittance(params: ChannelParams) -> float:
     """Overall single-photon transmission probability.
@@ -177,7 +183,7 @@ def transmittance(params: ChannelParams) -> float:
     guard = _NO_GUARD if isinstance(alpha, float) and alpha <= 1.0 else np.errstate(over="ignore")
     # np.power: ** on a Python float can round differently from the array loop
     with guard:
-        return params.eta_bob * np.power(10.0, -alpha * params.distance_km / 10.0)
+        return params.eta_bob * np.power(_TEN, -alpha * params.distance_km / _TEN)
 
 
 def honest_tally(intensity: float, params: ChannelParams) -> ObservedTally:
@@ -198,13 +204,15 @@ def honest_tally(intensity: float, params: ChannelParams) -> ObservedTally:
     # exact at the vacuum (Y0 - 0 is Y0), and no cancellation to 0 where
     # eta * intensity is below about 1e-16
     minus_hit = np.expm1(-eta * intensity)
-    gain = np.minimum(params.y0 - minus_hit, 1.0)
+    gain = np.minimum(params.y0 - minus_hit, _ONE)
     # the vacuum's QBER is that of the dark counts, 1/2, even at zero gain
-    sent = intensity != 0
+    sent = intensity != _ZERO
     if np.minimum.reduce(gain, None, initial=1, where=sent) <= 0:
         raise UndefinedQberError("QBER is undefined at zero gain")
     numerator = E_VACUUM * params.y0 - params.e_det * minus_hit
-    qber = np.divide(numerator, gain, out=np.full(np.shape(gain), E_VACUUM), where=sent)
+    qber = np.empty(np.shape(gain))
+    qber.fill(E_VACUUM)
+    np.divide(numerator, gain, out=qber, where=sent)
     return ObservedTally(intensity, gain, qber[()])
 
 

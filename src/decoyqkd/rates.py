@@ -21,6 +21,7 @@ array bounds raises numpy's ValueError and is not broadcast.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +53,20 @@ def _in_unit_interval(x: np.ndarray) -> bool:
     return low >= 0 and np.maximum.reduce(x, None, initial=-np.inf) <= 1
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, no longer writable: a constant shared by every call."""
+    array.flags.writeable = False
+    return array
+
+
+#: Float64 operands of the array arithmetic below, 0-d and read-only: numpy
+#: converts a Python number again on every ufunc call that takes it, and an
+#: array not at all. Each gives the same bits as the number it stands for.
+_ZERO, _QUARTER, _HALF, _ONE, _TWO = (_read_only(np.array(v)) for v in (0.0, 0.25, 0.5, 1.0, 2.0))
+
 #: The smallest subnormal float: np.maximum(x, _TINY) is x for every x in
 #: (0, 1], and lifts 0 to a number whose log is finite.
-_TINY = 5e-324
+_TINY = _read_only(np.array(5e-324))
 
 
 def binary_entropy(x: float) -> float:
@@ -65,7 +77,7 @@ def binary_entropy(x: float) -> float:
     x = np.asarray(x, dtype=float)
     if not _in_unit_interval(x):
         raise ValueError(f"binary entropy argument must be in [0, 1], got {x}")
-    other = 1.0 - x
+    other = _ONE - x
     # at x = 0 or 1 a zero factor meets the finite log of _TINY: both terms
     # are signed zeros and H2 is +0.0; inside (0, 1) the logs take x and 1 - x
     return (-x * np.log2(np.maximum(x, _TINY)) - other * np.log2(np.maximum(other, _TINY)))[()]
@@ -78,10 +90,10 @@ def rate_bb84_decoy(signal_tally: ObservedTally, bounds: PhotonBounds, f_ec: flo
 
     E_mu and e1U have one shape: one entropy call takes both, stacked.
     """
-    h_mu, h_1 = binary_entropy(np.array((signal_tally.qber, np.minimum(bounds.e1_upper, 0.5))))
+    h_mu, h_1 = binary_entropy(np.array((signal_tally.qber, np.minimum(bounds.e1_upper, _HALF))))
     cost = signal_tally.gain * f_ec * h_mu
-    gain = bounds.q1_lower * (1.0 - h_1)
-    return 0.5 * (gain - cost)
+    gain = bounds.q1_lower * (_ONE - h_1)
+    return _HALF * (gain - cost)
 
 
 #: untagged_fraction takes the tagged probability from its series below this mu.
@@ -105,17 +117,23 @@ def untagged_fraction(signal_tally: ObservedTally) -> float:
     e^(-mu) mu^3/6 (1 + mu/4 + mu^2/20 + mu^3/120 + mu^4/840), whose first
     omitted term is mu^5/6720 of it.
     """
-    if np.minimum.reduce(signal_tally.gain, None, initial=1) <= 0:  # 1: a gain may be an int
+    smallest = np.minimum.reduce(signal_tally.gain, None, initial=1)  # 1: a gain may be an int
+    if smallest <= 0:
         raise ValueError("untagged fraction is undefined at zero gain")
     mu = signal_tally.intensity
     decay = np.exp(-mu)
+    # literals, not 0-d arrays: at a fixed intensity mu is a number, and numbers are quicker
     tagged = 1.0 - (1.0 + mu + mu**2 / 2.0) * decay
     weak = mu < _SERIES_MU
     if np.count_nonzero(weak):  # the series only where some element needs it
         series = 1.0 + mu / 4.0 + mu**2 / 20.0 + mu**3 / 120.0 + mu**4 / 840.0
         tagged = np.where(weak, decay * mu**3 / 6.0 * series, tagged)
-    with np.errstate(over="ignore"):  # a gain near the float floor: Omega = -inf is the limit
-        return 1.0 - tagged / signal_tally.gain
+    # tagged <= 1, so a normal gain keeps tagged / gain below 4.5e307; a
+    # subnormal one can overflow it, and Omega = -inf is then the limit
+    if smallest >= sys.float_info.min:
+        return _ONE - tagged / signal_tally.gain
+    with np.errstate(over="ignore"):
+        return _ONE - tagged / signal_tally.gain
 
 
 def rate_sarg04_worst(signal_tally: ObservedTally, q0: float, omega: float) -> float:
@@ -128,22 +146,22 @@ def rate_sarg04_worst(signal_tally: ObservedTally, q0: float, omega: float) -> f
     at 1/2. Omega has the shape of the tally's fields, or is a number.
     """
     q_mu = signal_tally.gain
-    untagged = omega > 0
-    omega = np.where(untagged, omega, 1.0)  # dropped ones, -inf too, are overwritten below
-    capped = np.minimum(signal_tally.qber / omega, 0.5)
+    untagged = omega > _ZERO
+    omega = np.where(untagged, omega, _ONE)  # dropped ones, -inf too, are overwritten below
+    capped = np.minimum(signal_tally.qber / omega, _HALF)
     h_mu, h_capped = binary_entropy(np.array((signal_tally.qber, capped)))
     cost = q_mu * h_mu
-    untagged_term = np.where(untagged, omega * q_mu * (1.0 - h_capped), 0.0)
-    return 0.25 * (q0 + untagged_term - cost)
+    untagged_term = np.where(untagged, omega * q_mu * (_ONE - h_capped), _ZERO)
+    return _QUARTER * (q0 + untagged_term - cost)
 
 
 #: optimal_mu_sarg04 reports the midpoint of the cell that holds the root,
 #: among the 2^41 equal cells of (1e-15, 2).
-_MU_LO = 1e-15
-_MU_CELL = (2.0 - _MU_LO) / 2**41
+_MU_LO = _read_only(np.array(1e-15))
+_MU_CELL = _read_only(np.array((2.0 - _MU_LO) / 2**41))
 _NEWTON_STEPS = 5
 #: mu^2 e^(-mu) at mu = 1e-15, the second term of the doubled residual there.
-_LO_DECAY = _MU_LO**2 * float(np.exp(-_MU_LO))
+_LO_DECAY = float(_MU_LO**2 * np.exp(-_MU_LO))
 #: From this transmittance on, the doubled residual at 1e-15 is positive:
 #: 2 eta e^(-eta 1e-15) >= 2e-30 e^(-1e-15), twice _LO_DECAY.
 _TINY_ETA = 1e-30
@@ -173,8 +191,8 @@ def optimal_mu_sarg04(eta: float) -> float:
     eta = np.asarray(eta, dtype=float)
     if not _in_unit_interval(eta):
         raise ValueError(f"transmittance must be in [0, 1], got {eta}")
-    two_eta = 2.0 * eta
-    k = 0.5 * (1.0 - eta)
+    two_eta = _TWO * eta
+    k = _HALF * (_ONE - eta)
     mu = start = root = np.sqrt(two_eta)
     # the residual eta e^(-eta mu) - (1/2) mu^2 e^(-mu), doubled, is negative
     # at 1e-15 where the root lies below it; Newton solves for 1e-15 there.
@@ -186,10 +204,10 @@ def optimal_mu_sarg04(eta: float) -> float:
     log_target = np.log(start)
     for _ in range(_NEWTON_STEPS):
         k_mu = k * mu
-        mu = mu - mu * (np.log(mu) - k_mu - log_target) / (1.0 - k_mu)
+        mu = mu - mu * (np.log(mu) - k_mu - log_target) / (_ONE - k_mu)
     # a root within round-off under 1e-15 still belongs to the first cell
-    cell = np.maximum(np.floor((mu - _MU_LO) / _MU_CELL), 0.0)
-    mu = _MU_LO + (cell + 0.5) * _MU_CELL
+    cell = np.maximum(np.floor((mu - _MU_LO) / _MU_CELL), _ZERO)
+    mu = _MU_LO + (cell + _HALF) * _MU_CELL
     if near_zero:
         mu = np.where(tiny, root, mu)
     return mu[()]
@@ -207,12 +225,12 @@ def rate_nonorthogonal_decoy(
     """
     errors = np.array((signal_tally.qber, bounds.e1_upper, bounds.e2_upper))
     bounded = errors[1:]  # e1U and e2U, capped at 1/2 in place
-    np.minimum(bounded, 0.5, out=bounded)
+    np.minimum(bounded, _HALF, out=bounded)
     h_mu, h_1, h_2 = binary_entropy(errors)
     cost = signal_tally.gain * f_ec * h_mu
-    gain_1 = bounds.q1_lower * (1.0 - h_1)
-    gain_2 = bounds.q2_lower * (1.0 - h_2)
-    return 0.25 * (bounds.q0 + gain_1 + gain_2 - cost)
+    gain_1 = bounds.q1_lower * (_ONE - h_1)
+    gain_2 = bounds.q2_lower * (_ONE - h_2)
+    return _QUARTER * (bounds.q0 + gain_1 + gain_2 - cost)
 
 
 #: The rate formula of each decoy protocol, from the signal tally and photon

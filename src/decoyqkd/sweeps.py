@@ -64,7 +64,10 @@ _COARSE_GRID = np.arange(0.0, SCAN_LIMIT_KM + COARSE_STEP_KM, COARSE_STEP_KM)
 _FIRST_SCAN_POINTS = int(FIRST_SCAN_KM / COARSE_STEP_KM) + 1
 _LATTICE_STEPS = 2 ** math.ceil(math.log2(COARSE_STEP_KM / RESOLUTION_KM))
 _LATTICE_OFFSETS = np.arange(_LATTICE_STEPS + 1) * (COARSE_STEP_KM / _LATTICE_STEPS)
-_COARSE_GRID.flags.writeable = _LATTICE_OFFSETS.flags.writeable = False
+#: The rates' sign test takes a float64 zero: numpy converts a Python 0 again
+#: on every comparison, and a 0-d array not at all.
+_ZERO = np.array(0.0)
+_COARSE_GRID.flags.writeable = _LATTICE_OFFSETS.flags.writeable = _ZERO.flags.writeable = False
 
 #: Sentinel for per-distance optimization of the signal intensity
 #: (sarg04-no-decoy only).
@@ -218,9 +221,9 @@ def _cutoff_km(protocol: str, rates: Callable[[np.ndarray], np.ndarray]) -> floa
     FIRST_SCAN_KM are not evaluated and raise nothing.
     """
     grid = _COARSE_GRID
-    secure = rates(grid[:_FIRST_SCAN_POINTS]) > 0
+    secure = rates(grid[:_FIRST_SCAN_POINTS]) > _ZERO
     if np.logical_and.reduce(secure):
-        secure = np.concatenate((secure, rates(grid[_FIRST_SCAN_POINTS:]) > 0))
+        secure = np.concatenate((secure, rates(grid[_FIRST_SCAN_POINTS:]) > _ZERO))
     if not secure[0]:
         raise NeverSecureError(f"{protocol} has no positive rate even at zero distance")
     end = int(secure.argmin())
@@ -228,7 +231,7 @@ def _cutoff_km(protocol: str, rates: Callable[[np.ndarray], np.ndarray]) -> floa
         raise ScanLimitError(f"rate still positive at the {grid[-1]} km scan limit")
 
     lattice = grid[end - 1] + _LATTICE_OFFSETS
-    end = int((rates(lattice) > 0).argmin())
+    end = int((rates(lattice) > _ZERO).argmin())
     return float(0.5 * (lattice[end - 1] + lattice[end]))
 
 

@@ -1,11 +1,14 @@
-"""Module boundaries: no decoyqkd module imports another's private names, and
-importing the package loads no third-party module but numpy."""
+"""Module boundaries: no decoyqkd module imports another's private names,
+importing the package loads no third-party module but numpy, and no module
+shares a writable array."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import decoyqkd
@@ -46,3 +49,26 @@ def test_runtime_imports_only_numpy():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, cwd=src
     ).stdout
     assert out.split() == ["decoyqkd", "numpy"]
+
+
+def test_module_arrays_are_read_only():
+    # every call shares them: an out= that hit a writable one would change
+    # every later result
+    shared = {}
+    for path in MODULES:
+        name = "decoyqkd" if path.stem == "__init__" else f"decoyqkd.{path.stem}"
+        module = importlib.import_module(name)
+        for attribute, value in vars(module).items():
+            if isinstance(value, np.ndarray):
+                shared[f"{name}.{attribute}"] = value.flags.writeable
+    expected = {
+        "decoyqkd.channel._ONE",
+        "decoyqkd.bounds._ERROR_CAPS",
+        "decoyqkd.bounds._FACTORIALS",
+        "decoyqkd.rates._MU_CELL",
+        "decoyqkd.rates._TINY",
+        "decoyqkd.sweeps._COARSE_GRID",
+        "decoyqkd.sweeps._LATTICE_OFFSETS",
+    }
+    assert expected <= shared.keys()
+    assert [name for name, writable in shared.items() if writable] == []

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -182,6 +183,19 @@ class TestUntaggedFraction:
             assert omega == untagged_fraction(ObservedTally(mu, gain, 0.1)), mu
             if mu < 5e-4:
                 assert omega == exact(mu, gain), mu
+
+    def test_subnormal_gain_gives_minus_infinity_without_a_warning(self):
+        # tagged / gain overflows for a gain below the normal floats; -inf is its limit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert untagged_fraction(ObservedTally(2.0, 1e-310, 0.1)) == -math.inf
+
+    def test_smallest_normal_gain_gives_a_finite_omega_without_a_warning(self):
+        # the edge where untagged_fraction skips its overflow guard
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            omega = untagged_fraction(ObservedTally(2.0, sys.float_info.min, 0.1))
+        assert math.isfinite(omega) and omega < -1e307
 
 
 class TestRateSarg04Worst:

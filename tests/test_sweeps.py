@@ -343,6 +343,20 @@ class TestPinnedOutputs:
     #: 300 and 400 km, and the optimal-SARG04 rates there
     DARK_FREE = ChannelParams(0.2, 0.0, 0.1, 0.0, 0.02, 1.0)
     WEAK_SOURCE_RATES = ("0x1.33b8f0523492ap-33", "0x1.374da58228ad9p-38", "0x1.3ebc7c0be155cp-48")
+    #: Every PhotonBounds field at GYS 0, 75 and 140 km for mu = 0.48
+    BOUNDS = {
+        "y0": ("0x1.c8571c4687a3dp-20",) * 3,
+        "e0": ("0x1.0000000000000p-1",) * 3,
+        "q0": ("0x1.1a603355b1ab3p-20",) * 3,
+        "y1_lower": ("0x1.5b647c0f43156p-5", "0x1.274b898dc2166p-10", "0x1.a51cc43cac720p-15"),
+        "e1_upper": ("0x1.21da7a6f994a2p-5", "0x1.2870f7037f7e3p-5", "0x1.a46ebff8592e0p-5"),
+        "q1_lower": ("0x1.9cb97e4dfbb79p-7", "0x1.5ed4584dc504dp-12", "0x1.f44ef969c9458p-17"),
+        "y2_lower": ("0x1.509e174247d00p-4", "0x1.2433c78161bb0p-9", "0x1.9a47d19515f00p-14"),
+        "q2_lower": ("0x1.7fed2186bc9e5p-8", "0x1.4d44d1785d89bp-13", "0x1.d3f1272deb011p-18"),
+        "e2_upper": ("0x1.0000000000000p+0",) * 3,
+    }
+    #: The optimal SARG04 mu at GYS 0, 75 and 140 km
+    OPTIMAL_MU = ("0x1.6c0924b1ce00ep-2", "0x1.9b0ca01b3008cp-5", "0x1.4ecda6324023dp-7")
 
     @pytest.mark.parametrize("link", ["gys", "low_loss"])
     def test_cutoffs_and_ceilings(self, gys, link):
@@ -362,6 +376,18 @@ class TestPinnedOutputs:
         point = rate_at("sarg04-no-decoy", "optimal", self.DARK_FREE, distances)
         assert point.mu[0] > 5e-4 > point.mu[1] > point.mu[2]
         assert tuple(r.hex() for r in point.rate.tolist()) == self.WEAK_SOURCE_RATES
+
+    def test_bounds(self, gys):
+        intensities = construct_intensity_set(0.48)
+        tallies = synthesize_tallies(intensities, gys.at_distance(np.array([0.0, 75.0, 140.0])))
+        bounds = estimate_photon_bounds(tallies, intensities)
+        for name, pinned in self.BOUNDS.items():
+            values = np.broadcast_to(getattr(bounds, name), (3,)).tolist()
+            assert tuple(v.hex() for v in values) == pinned, name
+
+    def test_optimal_mu(self, gys):
+        mu = rate_at("sarg04-no-decoy", "optimal", gys, np.array([0.0, 75.0, 140.0])).mu
+        assert tuple(m.hex() for m in mu.tolist()) == self.OPTIMAL_MU
 
 
 class TestCallCounts:
