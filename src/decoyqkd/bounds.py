@@ -8,8 +8,8 @@ and the corresponding gain bounds Q1, Q2. The bounds are conservative for
 any channel whose per-photon-number yields lie in [0, 1]: Y1L <= Y1,
 e1U >= e1, Y2L <= Y2, e2U >= e2. An ``IntensitySet`` meets the intensity
 constraints the bounds rest on: it checks them when it is built, and it
-carries the class intensities and the coefficient matrix, each computed
-once per set.
+carries the class intensities, the coefficient matrix and the estimator's
+other per-set factors, each computed once per set.
 
 The tallies are positional: one ``ObservedTally`` with the classes vacuum,
 nu3, nu2, nu1, mu on axis 0, which one (2, 5) coefficient matrix maps to
