@@ -1,15 +1,16 @@
 """Decoy-state estimation of the vacuum, single-photon, and two-photon contributions.
 
 One estimator, ``estimate_photon_bounds``, takes the measured gains and
-QBERs of the vacuum, the three weak decoy intensities and the signal, and
-returns the background yield Y0, lower bounds on the single-photon yield
-Y1 and two-photon yield Y2, upper bounds on their error rates e1 and e2,
-and the corresponding gain bounds Q1, Q2. The bounds are conservative for
-any channel whose per-photon-number yields lie in [0, 1]: Y1L <= Y1,
-e1U >= e1, Y2L <= Y2, e2U >= e2. An ``IntensitySet`` meets the intensity
-constraints the bounds rest on: it checks them when it is built, and it
-carries the class intensities, the coefficient matrix and the estimator's
-other per-set factors, each computed once per set.
+QBERs of the vacuum, the three weak decoy intensities and the signal. It
+returns the vacuum's observed gain Y0 and QBER e0, lower bounds on the
+single-photon yield Y1 and two-photon yield Y2, upper bounds on their
+error rates e1 and e2, and the corresponding gain bounds Q1, Q2. The
+bounds are conservative for any channel whose per-photon-number yields and
+error rates lie in [0, 1]: Y1L <= Y1, e1U >= e1, Y2L <= Y2, e2U >= e2. An
+``IntensitySet`` meets the intensity constraints the bounds rest on: it
+checks them when it is built, and it carries the class intensities, the
+coefficient matrix and the estimator's other per-set factors, each
+computed once per set.
 
 The tallies are positional: one ``ObservedTally`` with the classes vacuum,
 nu3, nu2, nu1, mu on axis 0, which one (2, 5) coefficient matrix maps to
@@ -164,7 +165,6 @@ _FACTORIALS = _read_only(np.array((1.0, 2.0)))
 #: converts a Python number again on every ufunc call that takes it, and an
 #: array not at all. Each gives the same bits as the number it stands for.
 _ZERO, _ONE = _read_only(np.array(0.0)), _read_only(np.array(1.0))
-_E0 = _read_only(np.array(E_VACUUM))
 
 _CLAMP_NAMES = (
     "single-photon bound vacuous (Y1L <= 0)",
@@ -224,8 +224,7 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
     that set, or a ``ValueError`` names both: tallies of one set estimated
     with another give wrong bounds.
 
-    Y0 is the vacuum gain. The vacuum error rate e0 is taken to be 1/2
-    regardless of the observed value, because dark counts are random, and
+    Y0 and e0 are the observed vacuum gain and QBER (Ma et al. 2005), and
     Q0 = Y0 e^(-mu). The single-photon bounds use the nu2 and nu3 decoy
     classes together with the signal class:
 
@@ -262,8 +261,8 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
             f"tally intensities {observed} do not match the set's vacuum, nu3, nu2, nu1, mu "
             f"{expected}"
         )
-    gain = tallies.gain
-    y0 = gain[0]
+    gain, qber = tallies.gain, tallies.qber
+    y0, e0 = gain[0], qber[0]
     # photon numbers 1 and 2 on axis 0, broadcast against the distances
     column = (2,) + (1,) * y0.ndim
     # summed class by class in a fixed order (a BLAS product rounds differently
@@ -274,7 +273,7 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
     raw_yield = np.add.reduce(intensities.coefficients.reshape((5,) + column) * gain[:, None], 0)
     factorials = _FACTORIALS.reshape(column)
     # n! (E_nu3 Q_nu3 e^nu3 - e0 Y0), the numerator of e_nU
-    weight = (tallies.qber[1] * gain[1] * exp_nu3 - _E0 * y0) * factorials
+    weight = (qber[1] * gain[1] * exp_nu3 - e0 * y0) * factorials
     cap = _ERROR_CAPS.reshape(column)
     # np.clip's signs of zero, which differ with scalar and array bounds
     y = np.minimum(np.maximum(_ZERO, raw_yield), _ONE)
@@ -287,6 +286,6 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
     # Q_nL = Y_nL mu^n e^(-mu) / n!, both photon numbers in one product
     q = y * gain_scale.reshape(column) * exp_neg_mu / factorials
     return PhotonBounds(
-        y0, E_VACUUM, y0 * exp_neg_mu, y[0], error[0], q[0], y[1], q[1], error[1],
+        y0, e0, y0 * exp_neg_mu, y[0], error[0], q[0], y[1], q[1], error[1],
         (raw_yield, raw_error, cap),
     )

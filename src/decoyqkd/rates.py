@@ -4,19 +4,20 @@ All rates are in secret bits per sent pulse and may be negative, which
 means no secure key can be distilled at that operating point. Nothing is
 floored so that zero crossings can be located.
 
-Protocols:
-    bb84-decoy          sifting 1/2, key from the single-photon fraction.
-    sarg04-no-decoy     sifting 1/4, worst-case untagged-fraction analysis.
-    nonorthogonal-decoy sifting 1/4, key from the vacuum, single-photon,
-                        and two-photon fractions bounded via decoy states.
+The three protocols share one formula, ``_secure_rate``'s, with each e_i
+capped at 1/2; its key terms (g_i, e_i) are single-photon (Q1L, e1U),
+two-photon (Q2L, e2U) or untagged (Omega Q_mu, E_mu / Omega):
+
+    S = sifting { Q0 + sum_i g_i [1 - H2(e_i)] - Q_mu f H2(E_mu) }
+
+    protocol             sifting  Q0   key terms                    f
+    bb84-decoy           1/2      0    single-photon                f_ec
+    nonorthogonal-decoy  1/4      Q0   single- and two-photon       f_ec
+    sarg04-no-decoy      1/4      Q0   untagged, where Omega > 0    1
 
 Every formula is elementwise in distance: tallies and bounds whose fields
 are arrays over distances give a rate array of the same shape. The optimal
 SARG04 intensity is solved the same way, by a fixed number of Newton steps.
-
-The signal tally and the bounds of one decoy rate call must have one shape:
-one entropy call takes E_mu and the e_nU stacked, so a number tally with
-array bounds raises numpy's ValueError and is not broadcast.
 """
 
 from __future__ import annotations
@@ -83,17 +84,28 @@ def binary_entropy(x: float) -> float:
     return (-x * np.log2(np.maximum(x, _TINY)) - other * np.log2(np.maximum(other, _TINY)))[()]
 
 
+def _secure_rate(sifting, signal_tally: ObservedTally, f_ec, q0, gains, errors) -> float:
+    """sifting { q0 + sum_i gains[i] [1 - H2(errors[i])] - Q_mu f_ec H2(E_mu) },
+    each error rate capped at 1/2 and each key term added to q0 in turn.
+
+    The signal tally and every term of one call must have one shape: one
+    entropy call takes E_mu and the error rates stacked, so a number tally
+    with array terms raises numpy's ValueError and is not broadcast.
+    """
+    stacked = np.array((signal_tally.qber, *errors))
+    bounded = stacked[1:]  # the error rates, capped at 1/2 in place
+    np.minimum(bounded, _HALF, out=bounded)
+    h_mu, *entropies = binary_entropy(stacked)
+    key = sum((gain * (_ONE - entropy) for gain, entropy in zip(gains, entropies)), q0)
+    return sifting * (key - signal_tally.gain * f_ec * h_mu)
+
+
 def rate_bb84_decoy(signal_tally: ObservedTally, bounds: PhotonBounds, f_ec: float) -> float:
     """Decoy-state BB84 rate from the single-photon bound.
 
     S = (1/2) { -Q_mu f H2(E_mu) + Q1L [1 - H2(e1U)] }
-
-    E_mu and e1U have one shape: one entropy call takes both, stacked.
     """
-    h_mu, h_1 = binary_entropy(np.array((signal_tally.qber, np.minimum(bounds.e1_upper, _HALF))))
-    cost = signal_tally.gain * f_ec * h_mu
-    gain = bounds.q1_lower * (_ONE - h_1)
-    return _HALF * (gain - cost)
+    return _secure_rate(_HALF, signal_tally, f_ec, _ZERO, (bounds.q1_lower,), (bounds.e1_upper,))
 
 
 #: untagged_fraction takes the tagged probability from its series below this mu.
@@ -145,14 +157,10 @@ def rate_sarg04_worst(signal_tally: ObservedTally, q0: float, omega: float) -> f
     dropped when Omega <= 0; the entropy argument E_mu / Omega is capped
     at 1/2. Omega has the shape of the tally's fields, or is a number.
     """
-    q_mu = signal_tally.gain
     untagged = omega > _ZERO
-    omega = np.where(untagged, omega, _ONE)  # dropped ones, -inf too, are overwritten below
-    capped = np.minimum(signal_tally.qber / omega, _HALF)
-    h_mu, h_capped = binary_entropy(np.array((signal_tally.qber, capped)))
-    cost = q_mu * h_mu
-    untagged_term = np.where(untagged, omega * q_mu * (_ONE - h_capped), _ZERO)
-    return _QUARTER * (q0 + untagged_term - cost)
+    omega = np.where(untagged, omega, _ONE)  # dropped ones, -inf too, credit nothing below
+    gain = np.where(untagged, omega * signal_tally.gain, _ZERO)
+    return _secure_rate(_QUARTER, signal_tally, _ONE, q0, (gain,), (signal_tally.qber / omega,))
 
 
 #: optimal_mu_sarg04 reports the midpoint of the cell that holds the root,
@@ -221,16 +229,9 @@ def rate_nonorthogonal_decoy(
     S = (1/4) { -Q_mu f H2(E_mu) + Q0 + Q1L [1 - H2(e1U)] + Q2L [1 - H2(e2U)] }
 
     Unlike BB84, the vacuum and two-photon fractions also contribute key.
-    E_mu, e1U and e2U have one shape: one entropy call takes all three, stacked.
     """
-    errors = np.array((signal_tally.qber, bounds.e1_upper, bounds.e2_upper))
-    bounded = errors[1:]  # e1U and e2U, capped at 1/2 in place
-    np.minimum(bounded, _HALF, out=bounded)
-    h_mu, h_1, h_2 = binary_entropy(errors)
-    cost = signal_tally.gain * f_ec * h_mu
-    gain_1 = bounds.q1_lower * (_ONE - h_1)
-    gain_2 = bounds.q2_lower * (_ONE - h_2)
-    return _QUARTER * (bounds.q0 + gain_1 + gain_2 - cost)
+    gains, errors = (bounds.q1_lower, bounds.q2_lower), (bounds.e1_upper, bounds.e2_upper)
+    return _secure_rate(_QUARTER, signal_tally, f_ec, bounds.q0, gains, errors)
 
 
 #: The rate formula of each decoy protocol, from the signal tally and photon

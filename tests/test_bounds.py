@@ -125,10 +125,12 @@ class TestEstimateBackground:
         bounds = estimate_photon_bounds(synthesize_tallies(s, DARK), s)
         assert (bounds.y0, bounds.e0) == (0.0, 0.5)
 
-    def test_e0_fixed_regardless_of_observation(self, gys):
+    def test_e0_is_the_observed_vacuum_qber(self, gys):
+        # e0 Y0 is read from the vacuum class, not assumed to be Y0 / 2: a
+        # vacuum QBER below 1/2 would otherwise take too much off e1U and e2U
         s = balanced_set(0.48)
         e0 = estimate_photon_bounds(with_vacuum(ObservedTally(0.0, 1e-6, 0.37), gys, s), s).e0
-        assert e0 == 0.5
+        assert e0 == 0.37
 
     def test_honest_channel_recovers_parameter(self, gys):
         s = balanced_set(0.48, nu3=0.05)
@@ -356,3 +358,56 @@ class TestEstimatePhotonBounds:
                     if 0 < exact < 1:
                         scale = np.finfo(float).eps * mpmath.fsum(map(abs, terms)) / denominator
                         assert abs(value - exact) <= 4 * scale, (name, gains)
+
+
+class TestDecoyLemmas:
+    def test_photon_number_weights_of_the_yield_combinations(self):
+        # lemmas 1 and 2 in the estimator's form: Y_nL = sum_n w_n Y_n with
+        # w_n = sum_k a_k nu_k^n / (n! D), a_k the numerators of the classes
+        # (0, nu3, nu2, nu1, mu). Each is a lower bound for every yield vector
+        # as w_1 = 1 (w_2 = 1 for Y2L) and no other w_n is positive, but for
+        # Y2L's w_3 = -(mu^3 / 3) r / D2 with r the balance residual. Lemma 1
+        # is tight for n = 3 as nu3 and nu2 near 2mu/3, so w_n <= 0 is not
+        # strict. At 50 digits, from the sets' float intensities
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(13)
+        checked = 0
+        while checked < 12:
+            mu = rng.uniform(0.05, 1.0)
+            nu1 = mu * rng.uniform(2.0 / 3.0, 0.75)
+            nu2 = quadratic_nu2(mu, nu1)
+            # a residual of either sign within the accepted 1e-9: dr/dnu2 = 3 nu2^2/mu^2 - 1
+            nu2 += rng.uniform(-0.9e-9, 0.9e-9) / (3.0 * nu2**2 / mu**2 - 1.0)
+            nu3 = 1e-4 * (0.3 * mu / 1e-4) ** rng.uniform()
+            try:
+                s = IntensitySet(mu=mu, nu1=nu1, nu2=nu2, nu3=nu3)
+            except IntensityConstraintError:
+                continue
+            checked += 1
+            with mpmath.workdps(50):
+                m, v1, v2, v3 = (mpmath.mpf(x) for x in (s.mu, s.nu1, s.nu2, s.nu3))
+                r = v1 - v2 - (v1**3 - v2**3) / m**2
+                signal_1, signal_2 = v2**2 - v3**2, 2 * (v1 - v2)
+                d2 = m * (v1 - v2) * (v1 + v2 - m)
+                combinations = (
+                    (
+                        "Y1L",
+                        (signal_1, -(m**2), m**2, 0, -signal_1),
+                        m * (v2 - v3) * (m - v2 - v3),
+                        {0: 0, 1: 1, 2: 0},
+                    ),
+                    (
+                        "Y2L",
+                        (signal_2, 0, -2 * m, 2 * m, -signal_2),
+                        d2,
+                        {0: 0, 1: 0, 2: 1, 3: -(m**3 / 3) * r / d2},
+                    ),
+                )
+                for name, numerators, denominator, fixed in combinations:
+                    for n in range(61):
+                        powers = (a * nu**n for a, nu in zip(numerators, (0, v3, v2, v1, m)))
+                        w = mpmath.fsum(powers) / (mpmath.factorial(n) * denominator)
+                        if n in fixed:
+                            assert abs(w - fixed[n]) <= mpmath.mpf(10) ** -40, (name, n, s)
+                        else:
+                            assert w <= 0, (name, n, s)

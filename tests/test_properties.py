@@ -20,6 +20,7 @@ from decoyqkd import (  # noqa: E402
     PROTOCOLS,
     ChannelParams,
     NeverSecureError,
+    ObservedTally,
     ScanLimitError,
     UndefinedQberError,
     binary_entropy,
@@ -132,6 +133,73 @@ def test_stacked_entropy_rows_equal_separate_calls(data, width):
 
 def log_uniform(low, high):
     return st.floats(math.log(low), math.log(high)).map(math.exp)
+
+
+#: Photon numbers of an adversarial channel with a yield of their own. The
+#: tallies leave out n >= 40, whose yields are free: P(n >= 40) <= nu^40 / 40!
+#: for nu <= 1 bounds what they could add to a gain.
+PHOTON_NUMBERS = 40
+
+#: Relative round-off allowed each sum of the bounds: 16 eps of its terms'
+#: magnitudes (Higham 2002, sec. 3.1), the guard that ROADMAP item 4 would
+#: put into the estimator itself.
+ROUND_OFF = 16 * sys.float_info.epsilon
+
+
+@st.composite
+def adversarial_channels(draw):
+    """Yields Y_n in [0, 1] and error rates e_n in [0, 1/2] for n < 40, the
+    vacuum's included, picked per photon number: arbitrary, with every
+    multi-photon pulse detected on some draws, and scaled down by up to 1e-9."""
+    unit = st.lists(st.floats(0.0, 1.0), min_size=PHOTON_NUMBERS, max_size=PHOTON_NUMBERS)
+    half = st.lists(st.floats(0.0, 0.5), min_size=PHOTON_NUMBERS, max_size=PHOTON_NUMBERS)
+    yields, errors = np.array(draw(unit)), np.array(draw(half))
+    if draw(st.booleans()):
+        yields[2:] = 1.0
+    return yields * draw(st.just(1.0) | log_uniform(1e-9, 1.0)), errors
+
+
+def poisson_tallies(s, yields, errors):
+    """The five pulse classes' tallies on the channel (yields, errors): each
+    gain and error weight the Poisson sum over n < 40, correctly rounded."""
+    gains, qbers = [], []
+    for nu in s.classes.tolist():
+        weights = [math.exp(-nu) * nu**n / math.factorial(n) for n in range(PHOTON_NUMBERS)]
+        gain = math.fsum(w * y for w, y in zip(weights, yields.tolist()))
+        wrong = math.fsum(w * e * y for w, e, y in zip(weights, errors.tolist(), yields.tolist()))
+        gains.append(gain)
+        qbers.append(wrong / gain if gain else 0.5)  # no detection: any QBER
+    return ObservedTally(s.classes, np.array(gains), np.array(qbers))
+
+
+@settings(max_examples=examples(200))
+@given(
+    mu=st.floats(0.05, 1.0),
+    spread=st.floats(0.0, 1.0),
+    channel=adversarial_channels(),
+)
+def test_bounds_are_conservative_on_adversarial_channels(mu, spread, channel):
+    # the decoy argument holds for any yields and errors an eavesdropper picks
+    # per photon number, not only the honest channel's, once e0 Y0 is read from
+    # the vacuum class. Each bound may pass its true value by no more than the
+    # n >= 40 tail and the sums' round-off can move it
+    yields, errors = channel
+    s = construct_intensity_set(mu, 1e-4 * (0.3 * mu / 1e-4) ** spread)  # log-uniform
+    tallies = poisson_tallies(s, yields, errors)
+    bounds = estimate_photon_bounds(tallies, s)
+    tail = s.classes**PHOTON_NUMBERS / math.factorial(PHOTON_NUMBERS)
+    yield_slack = np.abs(s.coefficients).T @ (ROUND_OFF * tallies.gain + tail)
+    # E_nu3 Q_nu3 e^nu3 - e0 Y0 = e_nU Y_nL nu3^n / n!, at least e_n Y_n nu3^n / n!
+    decoy = tallies.qber[1] * tallies.gain[1] * math.exp(s.nu3)
+    background = tallies.qber[0] * tallies.gain[0]
+    weight_slack = ROUND_OFF * (decoy + background) + tail[1] * math.exp(s.nu3)
+    y_lower, e_upper = (bounds.y1_lower, bounds.y2_lower), (bounds.e1_upper, bounds.e2_upper)
+    for n in (1, 2):
+        assert y_lower[n - 1] <= yields[n] + yield_slack[n - 1], n
+        if y_lower[n - 1] > 0:  # else e_nU is its cap, which no e_n exceeds
+            scale = s.nu3**n / math.factorial(n)
+            slack = weight_slack / scale + errors[n] * yield_slack[n - 1]
+            assert e_upper[n - 1] >= errors[n] - slack / y_lower[n - 1], n
 
 
 @st.composite

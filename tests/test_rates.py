@@ -121,6 +121,14 @@ class TestRateBB84Decoy:
         )
         assert rate_bb84_decoy(signal, bounds, gys.f_ec) == pytest.approx(expected, rel=1e-14)
 
+    def test_number_tally_with_array_bounds_raises(self):
+        # one entropy call takes E_mu and e1U stacked, so their shapes must
+        # agree: a number tally is not broadcast against bounds over distances
+        per_distance = np.array([0.1, 0.3])
+        bounds = _bounds(e1_upper=per_distance, q1_lower=per_distance / 10)
+        with pytest.raises(ValueError, match="sequence"):
+            rate_bb84_decoy(ObservedTally(0.48, 0.02, 0.03), bounds, 1.22)
+
 
 class TestUntaggedFraction:
     def test_in_unit_interval_at_zero_distance(self, gys):
