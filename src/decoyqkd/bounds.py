@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import E_VACUUM, ObservedTally
+from .channel import E_VACUUM, ONE, ZERO, ObservedTally, read_only
 
 
 class IntensityConstraintError(ValueError):
@@ -53,12 +53,6 @@ def _denominators(s: IntensitySet) -> tuple[float, float]:
     """Denominators of the Y1L and Y2L combinations."""
     mu, nu1, nu2, nu3 = s.mu, s.nu1, s.nu2, s.nu3
     return mu * (nu2 - nu3) * (mu - nu2 - nu3), mu * (nu1 - nu2) * (nu1 + nu2 - mu)
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """``array``, no longer writable: a constant shared by every call."""
-    array.flags.writeable = False
-    return array
 
 
 @dataclass(frozen=True)
@@ -129,7 +123,7 @@ class IntensitySet:
     @cached_property
     def classes(self) -> np.ndarray:
         """The pulse-class intensities (0, nu3, nu2, nu1, mu), in that order."""
-        return _read_only(np.array([0.0, self.nu3, self.nu2, self.nu1, self.mu]))
+        return read_only(np.array([0.0, self.nu3, self.nu2, self.nu1, self.mu]))
 
     @cached_property
     def coefficients(self) -> np.ndarray:
@@ -143,28 +137,23 @@ class IntensitySet:
         d1, d2 = _denominators(self)
         # each entry numerator * e^nu / denominator, as numbers; one array call
         rows = [(a * e / d1, b * e / d2) for a, b, e in zip(y1_numerators, y2_numerators, boost)]
-        return _read_only(np.array(rows))
+        return read_only(np.array(rows))
 
     @cached_property
     def _factors(self) -> tuple:
         """What ``estimate_photon_bounds`` takes from the set on every call: the
         class intensities as a list, e^nu3, e^-mu, (nu3, nu3^2) and (mu, mu^2)."""
         mu, nu3 = self.mu, self.nu3
-        # float64 arrays, as the estimator's array operands should be (see _ZERO)
+        # float64 arrays, as the estimator's array operands should be (see channel.ZERO)
         factors = (math.exp(nu3), math.exp(-mu), (nu3, nu3**2), (mu, mu**2))
-        return (self.classes.tolist(), *(_read_only(np.array(f)) for f in factors))
+        return (self.classes.tolist(), *(read_only(np.array(f)) for f in factors))
 
 
 #: The caps of e1U and e2U.
-_ERROR_CAPS = _read_only(np.array((E_VACUUM, 1.0)))
+_ERROR_CAPS = read_only(np.array((E_VACUUM, 1.0)))
 
 #: n! for the photon numbers n = 1, 2.
-_FACTORIALS = _read_only(np.array((1.0, 2.0)))
-
-#: Float64 operands of the array arithmetic below, 0-d and read-only: numpy
-#: converts a Python number again on every ufunc call that takes it, and an
-#: array not at all. Each gives the same bits as the number it stands for.
-_ZERO, _ONE = _read_only(np.array(0.0)), _read_only(np.array(1.0))
+_FACTORIALS = read_only(np.array((1.0, 2.0)))
 
 _CLAMP_NAMES = (
     "single-photon bound vacuous (Y1L <= 0)",
@@ -206,7 +195,7 @@ class PhotonBounds:
         vacuous = raw_yield <= 0
         # built kind first: np.array is quicker than np.stack
         clamps = np.array((vacuous, raw_yield > 1.0, (raw_error > cap) & ~vacuous, raw_error < 0))
-        return _read_only(clamps.swapaxes(0, 1))
+        return read_only(clamps.swapaxes(0, 1))
 
     @property
     def flags(self) -> tuple[str, ...]:
@@ -276,13 +265,13 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
     weight = (qber[1] * gain[1] * exp_nu3 - e0 * y0) * factorials
     cap = _ERROR_CAPS.reshape(column)
     # np.clip's signs of zero, which differ with scalar and array bounds
-    y = np.minimum(np.maximum(_ZERO, raw_yield), _ONE)
+    y = np.minimum(np.maximum(ZERO, raw_yield), ONE)
     denominator = y * error_scale.reshape(column)
     # e_nU is the cap where Y_nL, or Y_nL times the scale, is 0: it bounds nothing
     raw_error = np.empty(denominator.shape)
     raw_error.fill(np.inf)
-    np.divide(weight, denominator, out=raw_error, where=denominator != _ZERO)
-    error = np.minimum(np.maximum(raw_error, _ZERO), cap)
+    np.divide(weight, denominator, out=raw_error, where=denominator != ZERO)
+    error = np.minimum(np.maximum(raw_error, ZERO), cap)
     # Q_nL = Y_nL mu^n e^(-mu) / n!, both photon numbers in one product
     q = y * gain_scale.reshape(column) * exp_neg_mu / factorials
     return PhotonBounds(

@@ -9,6 +9,10 @@ classes of ``synthesize_tallies`` are one call of it.
 The channel functions are elementwise in distance: ``distance_km`` may be
 an array, and every observable then has its shape broadcast with the
 intensity's.
+
+The other modules share its read-only 0-d float64 operands ``ZERO``,
+``QUARTER``, ``HALF``, ``ONE``, ``TWO`` and ``TEN``, its ``read_only`` for
+constants and its range test ``within`` (every element in [low, high]).
 """
 
 from __future__ import annotations
@@ -33,13 +37,34 @@ class UndefinedQberError(ValueError):
     """QBER requested for a pulse class with zero gain."""
 
 
-def _holds(ok) -> bool:
-    """Whether a test holds at every element (``ok`` is a bool or a boolean array)."""
-    return bool(np.logical_and.reduce(ok, axis=None) if isinstance(ok, np.ndarray) else ok)
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, no longer writable: a constant shared by every call."""
+    array.flags.writeable = False
+    return array
 
 
-#: The range each ChannelParams field must lie in: (name, low, high, requirement).
-#: NaN lies in no [low, high]; nextafter makes a closed end an open one.
+#: Float64 operands of the package's array arithmetic, 0-d and read-only:
+#: numpy converts a Python number again on every ufunc call that takes it, and
+#: an array not at all. Under NEP 50 a Python float takes the other operand's
+#: float type and a 0-d float64 array keeps its own, so against the package's
+#: float64 and integer operands each gives the same bits as its number.
+ZERO, QUARTER, HALF, ONE, TWO, TEN = (
+    read_only(np.array(v)) for v in (0.0, 0.25, 0.5, 1.0, 2.0, 10.0)
+)
+
+
+def within(x, low: float, high: float) -> bool:
+    """Whether every element of ``x`` lies in [low, high]: False if any is NaN,
+    True if there is none (the identities of the two reductions)."""
+    if isinstance(x, float):  # NaN fails the chained test too
+        return low <= x <= high
+    # float64 first: initial=np.inf raises OverflowError on an int array
+    x = np.asarray(x, dtype=float)
+    smallest = np.minimum.reduce(x, None, initial=np.inf)
+    return bool(smallest >= low and np.maximum.reduce(x, None, initial=-np.inf) <= high)
+
+
+#: Each ChannelParams field's range (name, low, high, requirement); nextafter opens a closed end.
 _CHANNEL_RANGES = (
     ("alpha_db_per_km", 0.0, sys.float_info.max, "finite and >= 0"),
     ("distance_km", 0.0, sys.float_info.max, "finite and >= 0"),
@@ -72,14 +97,7 @@ class ChannelParams:
 
     def __post_init__(self):
         for name, low, high, requirement in _CHANNEL_RANGES:
-            value = getattr(self, name)
-            if isinstance(value, float):  # NaN fails the chained test too
-                holds = low <= value <= high
-            else:  # a NaN makes a reduction NaN and fails; an empty array passes
-                value = np.asarray(value, dtype=float)
-                holds = np.minimum.reduce(value, None, initial=np.inf) >= low
-                holds = holds and np.maximum.reduce(value, None, initial=-np.inf) <= high
-            if not holds:
+            if not within(getattr(self, name), low, high):
                 raise ParameterError(f"{name} must be {requirement}")
 
     def at_distance(self, distance_km: float) -> "ChannelParams":
@@ -133,11 +151,11 @@ class ObservedTally:
         in_range = in_range and smallest(low, None, initial=0) >= 0
         if in_range and largest(high, None, initial=0) <= 1:
             return
-        if not _holds(self.intensity >= 0):
+        if not within(self.intensity, 0.0, math.inf):
             raise ParameterError("intensity must be >= 0")
-        if not _holds((self.gain >= 0) & (self.gain <= 1)):
+        if not within(self.gain, 0.0, 1.0):
             raise ParameterError("gain must be in [0, 1]")
-        if not _holds((self.qber >= 0) & (self.qber <= 1)):
+        if not within(self.qber, 0.0, 1.0):
             raise ParameterError("qber must be in [0, 1]")
 
     def row(self, index: int) -> "ObservedTally":
@@ -164,12 +182,6 @@ def poisson_weight(mu: float, n: int) -> float:
 #: transmittance's guard where alpha * distance cannot overflow.
 _NO_GUARD = contextlib.nullcontext()
 
-#: Float64 operands of the array arithmetic below, 0-d and read-only: numpy
-#: converts a Python number again on every ufunc call that takes it, and an
-#: array not at all. Each gives the same bits as the number it stands for.
-_ZERO, _ONE, _TEN = np.array(0.0), np.array(1.0), np.array(10.0)
-_ZERO.flags.writeable = _ONE.flags.writeable = _TEN.flags.writeable = False
-
 
 def transmittance(params: ChannelParams) -> float:
     """Overall single-photon transmission probability.
@@ -181,9 +193,10 @@ def transmittance(params: ChannelParams) -> float:
     # alpha <= 1 keeps it within the distance's float range; 10^(x <= 0) can
     # only underflow, which numpy ignores by default
     guard = _NO_GUARD if isinstance(alpha, float) and alpha <= 1.0 else np.errstate(over="ignore")
-    # np.power: ** on a Python float can round differently from the array loop
+    # np.power: ** on a Python float can round differently from the array loop;
+    # np.multiply: a float times a list or tuple of distances raises TypeError
     with guard:
-        return params.eta_bob * np.power(_TEN, -alpha * params.distance_km / _TEN)
+        return params.eta_bob * np.power(TEN, np.multiply(-alpha, params.distance_km) / TEN)
 
 
 def honest_tally(intensity: float, params: ChannelParams) -> ObservedTally:
@@ -204,9 +217,9 @@ def honest_tally(intensity: float, params: ChannelParams) -> ObservedTally:
     # exact at the vacuum (Y0 - 0 is Y0), and no cancellation to 0 where
     # eta * intensity is below about 1e-16
     minus_hit = np.expm1(-eta * intensity)
-    gain = np.minimum(params.y0 - minus_hit, _ONE)
+    gain = np.minimum(params.y0 - minus_hit, ONE)
     # the vacuum's QBER is that of the dark counts, 1/2, even at zero gain
-    sent = intensity != _ZERO
+    sent = intensity != ZERO
     if np.minimum.reduce(gain, None, initial=1, where=sent) <= 0:
         raise UndefinedQberError("QBER is undefined at zero gain")
     numerator = E_VACUUM * params.y0 - params.e_det * minus_hit

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import PhotonBounds
-from .channel import ObservedTally
+from .channel import HALF, ONE, QUARTER, TWO, ZERO, ObservedTally, read_only, within
 
 PROTOCOLS = ("bb84-decoy", "sarg04-no-decoy", "nonorthogonal-decoy")
 
@@ -47,27 +47,9 @@ class KeyRatePoint:
     rate: float
 
 
-def _in_unit_interval(x: np.ndarray) -> bool:
-    """Whether every element of ``x`` lies in [0, 1]: False if any is NaN, True if
-    there is none (the identities of the two reductions)."""
-    low = np.minimum.reduce(x, None, initial=np.inf)
-    return low >= 0 and np.maximum.reduce(x, None, initial=-np.inf) <= 1
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """``array``, no longer writable: a constant shared by every call."""
-    array.flags.writeable = False
-    return array
-
-
-#: Float64 operands of the array arithmetic below, 0-d and read-only: numpy
-#: converts a Python number again on every ufunc call that takes it, and an
-#: array not at all. Each gives the same bits as the number it stands for.
-_ZERO, _QUARTER, _HALF, _ONE, _TWO = (_read_only(np.array(v)) for v in (0.0, 0.25, 0.5, 1.0, 2.0))
-
 #: The smallest subnormal float: np.maximum(x, _TINY) is x for every x in
 #: (0, 1], and lifts 0 to a number whose log is finite.
-_TINY = _read_only(np.array(5e-324))
+_TINY = read_only(np.array(5e-324))
 
 
 def binary_entropy(x: float) -> float:
@@ -76,9 +58,9 @@ def binary_entropy(x: float) -> float:
     Elementwise; H2(0) = H2(1) = 0 by continuous extension.
     """
     x = np.asarray(x, dtype=float)
-    if not _in_unit_interval(x):
+    if not within(x, 0.0, 1.0):
         raise ValueError(f"binary entropy argument must be in [0, 1], got {x}")
-    other = _ONE - x
+    other = ONE - x
     # at x = 0 or 1 a zero factor meets the finite log of _TINY: both terms
     # are signed zeros and H2 is +0.0; inside (0, 1) the logs take x and 1 - x
     return (-x * np.log2(np.maximum(x, _TINY)) - other * np.log2(np.maximum(other, _TINY)))[()]
@@ -94,9 +76,9 @@ def _secure_rate(sifting, signal_tally: ObservedTally, f_ec, q0, gains, errors) 
     """
     stacked = np.array((signal_tally.qber, *errors))
     bounded = stacked[1:]  # the error rates, capped at 1/2 in place
-    np.minimum(bounded, _HALF, out=bounded)
+    np.minimum(bounded, HALF, out=bounded)
     h_mu, *entropies = binary_entropy(stacked)
-    key = sum((gain * (_ONE - entropy) for gain, entropy in zip(gains, entropies)), q0)
+    key = sum((gain * (ONE - entropy) for gain, entropy in zip(gains, entropies)), q0)
     return sifting * (key - signal_tally.gain * f_ec * h_mu)
 
 
@@ -105,7 +87,7 @@ def rate_bb84_decoy(signal_tally: ObservedTally, bounds: PhotonBounds, f_ec: flo
 
     S = (1/2) { -Q_mu f H2(E_mu) + Q1L [1 - H2(e1U)] }
     """
-    return _secure_rate(_HALF, signal_tally, f_ec, _ZERO, (bounds.q1_lower,), (bounds.e1_upper,))
+    return _secure_rate(HALF, signal_tally, f_ec, ZERO, (bounds.q1_lower,), (bounds.e1_upper,))
 
 
 #: untagged_fraction takes the tagged probability from its series below this mu.
@@ -143,9 +125,9 @@ def untagged_fraction(signal_tally: ObservedTally) -> float:
     # tagged <= 1, so a normal gain keeps tagged / gain below 4.5e307; a
     # subnormal one can overflow it, and Omega = -inf is then the limit
     if smallest >= sys.float_info.min:
-        return _ONE - tagged / signal_tally.gain
+        return ONE - tagged / signal_tally.gain
     with np.errstate(over="ignore"):
-        return _ONE - tagged / signal_tally.gain
+        return ONE - tagged / signal_tally.gain
 
 
 def rate_sarg04_worst(signal_tally: ObservedTally, q0: float, omega: float) -> float:
@@ -157,16 +139,16 @@ def rate_sarg04_worst(signal_tally: ObservedTally, q0: float, omega: float) -> f
     dropped when Omega <= 0; the entropy argument E_mu / Omega is capped
     at 1/2. Omega has the shape of the tally's fields, or is a number.
     """
-    untagged = omega > _ZERO
-    omega = np.where(untagged, omega, _ONE)  # dropped ones, -inf too, credit nothing below
-    gain = np.where(untagged, omega * signal_tally.gain, _ZERO)
-    return _secure_rate(_QUARTER, signal_tally, _ONE, q0, (gain,), (signal_tally.qber / omega,))
+    untagged = omega > ZERO
+    omega = np.where(untagged, omega, ONE)  # dropped ones, -inf too, credit nothing below
+    gain = np.where(untagged, omega * signal_tally.gain, ZERO)
+    return _secure_rate(QUARTER, signal_tally, ONE, q0, (gain,), (signal_tally.qber / omega,))
 
 
 #: optimal_mu_sarg04 reports the midpoint of the cell that holds the root,
 #: among the 2^41 equal cells of (1e-15, 2).
-_MU_LO = _read_only(np.array(1e-15))
-_MU_CELL = _read_only(np.array((2.0 - _MU_LO) / 2**41))
+_MU_LO = read_only(np.array(1e-15))
+_MU_CELL = read_only(np.array((2.0 - _MU_LO) / 2**41))
 _NEWTON_STEPS = 5
 #: mu^2 e^(-mu) at mu = 1e-15, the second term of the doubled residual there.
 _LO_DECAY = float(_MU_LO**2 * np.exp(-_MU_LO))
@@ -197,10 +179,10 @@ def optimal_mu_sarg04(eta: float) -> float:
     sqrt(2 eta) to double precision: 0 at eta = 0, where no signal arrives.
     """
     eta = np.asarray(eta, dtype=float)
-    if not _in_unit_interval(eta):
+    if not within(eta, 0.0, 1.0):
         raise ValueError(f"transmittance must be in [0, 1], got {eta}")
-    two_eta = _TWO * eta
-    k = _HALF * (_ONE - eta)
+    two_eta = TWO * eta
+    k = HALF * (ONE - eta)
     mu = start = root = np.sqrt(two_eta)
     # the residual eta e^(-eta mu) - (1/2) mu^2 e^(-mu), doubled, is negative
     # at 1e-15 where the root lies below it; Newton solves for 1e-15 there.
@@ -212,10 +194,10 @@ def optimal_mu_sarg04(eta: float) -> float:
     log_target = np.log(start)
     for _ in range(_NEWTON_STEPS):
         k_mu = k * mu
-        mu = mu - mu * (np.log(mu) - k_mu - log_target) / (_ONE - k_mu)
+        mu = mu - mu * (np.log(mu) - k_mu - log_target) / (ONE - k_mu)
     # a root within round-off under 1e-15 still belongs to the first cell
-    cell = np.maximum(np.floor((mu - _MU_LO) / _MU_CELL), _ZERO)
-    mu = _MU_LO + (cell + _HALF) * _MU_CELL
+    cell = np.maximum(np.floor((mu - _MU_LO) / _MU_CELL), ZERO)
+    mu = _MU_LO + (cell + HALF) * _MU_CELL
     if near_zero:
         mu = np.where(tiny, root, mu)
     return mu[()]
@@ -231,7 +213,7 @@ def rate_nonorthogonal_decoy(
     Unlike BB84, the vacuum and two-photon fractions also contribute key.
     """
     gains, errors = (bounds.q1_lower, bounds.q2_lower), (bounds.e1_upper, bounds.e2_upper)
-    return _secure_rate(_QUARTER, signal_tally, f_ec, bounds.q0, gains, errors)
+    return _secure_rate(QUARTER, signal_tally, f_ec, bounds.q0, gains, errors)
 
 
 #: The rate formula of each decoy protocol, from the signal tally and photon

@@ -19,7 +19,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .bounds import IntensityConstraintError, IntensitySet, estimate_photon_bounds
-from .channel import ChannelParams, honest_tally, synthesize_tallies, transmittance
+from .channel import ZERO, ChannelParams, honest_tally, read_only, synthesize_tallies, transmittance
 from .exact import exact_bounds
 from .rates import (
     DECOY_RATES,
@@ -60,14 +60,10 @@ FIRST_SCAN_KM = 250.0
 #: The coarse grid of the cutoff search, the number of its points up to
 #: FIRST_SCAN_KM, and the offsets of the lattice that splits one coarse step
 #: into 2^k steps of at most RESOLUTION_KM; read-only, shared by every search.
-_COARSE_GRID = np.arange(0.0, SCAN_LIMIT_KM + COARSE_STEP_KM, COARSE_STEP_KM)
+_COARSE_GRID = read_only(np.arange(0.0, SCAN_LIMIT_KM + COARSE_STEP_KM, COARSE_STEP_KM))
 _FIRST_SCAN_POINTS = int(FIRST_SCAN_KM / COARSE_STEP_KM) + 1
 _LATTICE_STEPS = 2 ** math.ceil(math.log2(COARSE_STEP_KM / RESOLUTION_KM))
-_LATTICE_OFFSETS = np.arange(_LATTICE_STEPS + 1) * (COARSE_STEP_KM / _LATTICE_STEPS)
-#: The rates' sign test takes a float64 zero: numpy converts a Python 0 again
-#: on every comparison, and a 0-d array not at all.
-_ZERO = np.array(0.0)
-_COARSE_GRID.flags.writeable = _LATTICE_OFFSETS.flags.writeable = _ZERO.flags.writeable = False
+_LATTICE_OFFSETS = read_only(np.arange(_LATTICE_STEPS + 1) * (COARSE_STEP_KM / _LATTICE_STEPS))
 
 #: Sentinel for per-distance optimization of the signal intensity
 #: (sarg04-no-decoy only).
@@ -221,9 +217,9 @@ def _cutoff_km(protocol: str, rates: Callable[[np.ndarray], np.ndarray]) -> floa
     FIRST_SCAN_KM are not evaluated and raise nothing.
     """
     grid = _COARSE_GRID
-    secure = rates(grid[:_FIRST_SCAN_POINTS]) > _ZERO
+    secure = rates(grid[:_FIRST_SCAN_POINTS]) > ZERO
     if np.logical_and.reduce(secure):
-        secure = np.concatenate((secure, rates(grid[_FIRST_SCAN_POINTS:]) > _ZERO))
+        secure = np.concatenate((secure, rates(grid[_FIRST_SCAN_POINTS:]) > ZERO))
     if not secure[0]:
         raise NeverSecureError(f"{protocol} has no positive rate even at zero distance")
     end = int(secure.argmin())
@@ -231,7 +227,7 @@ def _cutoff_km(protocol: str, rates: Callable[[np.ndarray], np.ndarray]) -> floa
         raise ScanLimitError(f"rate still positive at the {grid[-1]} km scan limit")
 
     lattice = grid[end - 1] + _LATTICE_OFFSETS
-    end = int((rates(lattice) > _ZERO).argmin())
+    end = int((rates(lattice) > ZERO).argmin())
     return float(0.5 * (lattice[end - 1] + lattice[end]))
 
 

@@ -10,6 +10,7 @@ from decoyqkd import (
     ObservedTally,
     ParameterError,
     UndefinedQberError,
+    exact_stats,
     honest_tally,
     poisson_weight,
     synthesize_tallies,
@@ -96,6 +97,17 @@ class TestTransmittance:
             warnings.simplefilter("error")
             eta = transmittance(params)
         assert np.all(eta == 0.0)
+
+
+@pytest.mark.parametrize("distances", [[0.0, 10.0, 100.0], (0, 10, 100)], ids=["list", "tuple"])
+def test_sequence_distance_gives_the_array_results(gys, distances):
+    def observables(params):
+        tally, stats = honest_tally(0.5, params), exact_stats(1, 0.5, params)
+        return transmittance(params), tally.gain, tally.qber, stats.gain, stats.error_rate
+
+    as_array = observables(gys.at_distance(np.array(distances, dtype=float)))
+    as_sequence = observables(gys.at_distance(distances))
+    assert [a.tobytes() for a in as_sequence] == [a.tobytes() for a in as_array]
 
 
 class TestHonestGain:
@@ -281,6 +293,10 @@ def test_at_distance_accepts_int_and_empty_arrays(gys, distance):
         ("gain,qber", -1e-300, r"gain must be in \[0, 1\]"),
         ("gain,qber", math.nextafter(1.0, 2.0), r"gain must be in \[0, 1\]"),
         ("gain,qber", np.array([0.1, math.nan]), r"gain must be in \[0, 1\]"),
+        # an int or 0-d field names the same field as a float one
+        ("gain", np.array([0, 2]), r"gain must be in \[0, 1\]"),
+        ("intensity", -1, "intensity must be >= 0"),
+        ("qber", np.array(1.5), r"qber must be in \[0, 1\]"),
     ],
 )
 def test_observed_tally_range_checks(field, value, message):

@@ -1,6 +1,6 @@
 """Module boundaries: no decoyqkd module imports another's private names,
-importing the package loads no third-party module but numpy, and no module
-shares a writable array."""
+importing the package loads no third-party module but numpy, no module
+shares a writable array, and no constant array is defined twice."""
 
 import ast
 import importlib
@@ -62,7 +62,7 @@ def test_module_arrays_are_read_only():
             if isinstance(value, np.ndarray):
                 shared[f"{name}.{attribute}"] = value.flags.writeable
     expected = {
-        "decoyqkd.channel._ONE",
+        "decoyqkd.channel.ONE",
         "decoyqkd.bounds._ERROR_CAPS",
         "decoyqkd.bounds._FACTORIALS",
         "decoyqkd.rates._MU_CELL",
@@ -72,3 +72,18 @@ def test_module_arrays_are_read_only():
     }
     assert expected <= shared.keys()
     assert [name for name, writable in shared.items() if writable] == []
+
+
+def test_module_arrays_are_defined_once():
+    # a constant that several modules use is built in one and imported by the
+    # others, so an imported name is the same object and counts once
+    arrays = {}
+    for path in MODULES:
+        name = "decoyqkd" if path.stem == "__init__" else f"decoyqkd.{path.stem}"
+        for attribute, value in vars(importlib.import_module(name)).items():
+            if isinstance(value, np.ndarray):
+                arrays.setdefault(id(value), (f"{name}.{attribute}", value))
+    names = {}
+    for name, value in arrays.values():
+        names.setdefault((value.dtype.str, value.shape, value.tobytes()), []).append(name)
+    assert [same for same in names.values() if len(same) > 1] == []
