@@ -97,7 +97,13 @@ class ChannelParams:
 
     def __post_init__(self):
         for name, low, high, requirement in _CHANNEL_RANGES:
-            if not within(getattr(self, name), low, high):
+            value = getattr(self, name)
+            # the channel arithmetic takes numbers and arrays; a list or tuple
+            # becomes a float64 array once, here
+            if type(value) in (list, tuple):
+                value = np.array(value, dtype=float)
+                object.__setattr__(self, name, value)
+            if not within(value, low, high):
                 raise ParameterError(f"{name} must be {requirement}")
 
     def at_distance(self, distance_km: float) -> "ChannelParams":
@@ -130,7 +136,8 @@ class ObservedTally:
 
     ``gain`` is the probability per sent pulse that Bob registers a
     detection; ``qber`` is the error fraction among those detections. Each
-    field may be an array over distances, and every element is checked.
+    field may be an array over distances, and every element is checked; a
+    list or tuple becomes a float64 array.
     ``synthesize_tallies`` stacks the five classes, with ``intensity`` their
     (5, 1, ...) column, which broadcasts against the distances (a (5,)
     vector at a scalar distance); ``row`` takes one class out.
@@ -141,6 +148,10 @@ class ObservedTally:
     qber: float
 
     def __post_init__(self):
+        for name in ("intensity", "gain", "qber"):
+            value = getattr(self, name)
+            if type(value) in (list, tuple):  # as in ChannelParams
+                object.__setattr__(self, name, np.array(value, dtype=float))
         # one test of all three ranges, which NaN fails; the tests below run
         # only where it fails, to name the first field out of range
         low, high = np.minimum(self.gain, self.qber), np.maximum(self.gain, self.qber)
@@ -193,10 +204,9 @@ def transmittance(params: ChannelParams) -> float:
     # alpha <= 1 keeps it within the distance's float range; 10^(x <= 0) can
     # only underflow, which numpy ignores by default
     guard = _NO_GUARD if isinstance(alpha, float) and alpha <= 1.0 else np.errstate(over="ignore")
-    # np.power: ** on a Python float can round differently from the array loop;
-    # np.multiply: a float times a list or tuple of distances raises TypeError
+    # np.power: ** on a Python float can round differently from the array loop
     with guard:
-        return params.eta_bob * np.power(TEN, np.multiply(-alpha, params.distance_km) / TEN)
+        return params.eta_bob * np.power(TEN, -alpha * params.distance_km / TEN)
 
 
 def honest_tally(intensity: float, params: ChannelParams) -> ObservedTally:
@@ -210,6 +220,8 @@ def honest_tally(intensity: float, params: ChannelParams) -> ObservedTally:
     broadcasting. A vacuum class (intensity 0) has QBER 1/2 even at zero
     gain; any other class with zero gain raises ``UndefinedQberError``.
     """
+    if type(intensity) in (list, tuple):  # as in ChannelParams
+        intensity = np.array(intensity, dtype=float)
     if not np.minimum.reduce(intensity, None, initial=0) >= 0:  # NaN fails too
         raise ParameterError("intensity must be >= 0")
     eta = transmittance(params)
@@ -223,7 +235,8 @@ def honest_tally(intensity: float, params: ChannelParams) -> ObservedTally:
     if np.minimum.reduce(gain, None, initial=1, where=sent) <= 0:
         raise UndefinedQberError("QBER is undefined at zero gain")
     numerator = E_VACUUM * params.y0 - params.e_det * minus_hit
-    qber = np.empty(np.shape(gain))
+    # the numerator's shape, which an e_det array widens beyond the gain's
+    qber = np.empty(np.shape(numerator))
     qber.fill(E_VACUUM)
     np.divide(numerator, gain, out=qber, where=sent)
     return ObservedTally(intensity, gain, qber[()])

@@ -53,7 +53,9 @@ def exact_stats(n: int, mu: float, params: ChannelParams) -> ExactPhotonStats:
     # where no detection is possible, the error rate is that of a guess, 1/2
     detected = (y_raw > 0) & (n != 0)
     numerator = E_VACUUM * params.y0 + params.e_det * hit
-    error_rate = np.divide(numerator, y_raw, out=np.full(np.shape(y_raw), E_VACUUM), where=detected)
+    # the numerator's shape, which an e_det array widens beyond the yield's
+    guess = np.full(np.shape(numerator), E_VACUUM)
+    error_rate = np.divide(numerator, y_raw, out=guess, where=detected)
     detection_yield = np.minimum(y_raw, 1.0)
     return ExactPhotonStats(
         detection_yield, error_rate[()], detection_yield * poisson_weight(mu, n)

@@ -1,7 +1,9 @@
 import math
 import types
 import warnings
+from dataclasses import fields
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -306,6 +308,20 @@ class TestEstimatePhotonBounds:
         tallies = synthesize_tallies(s, gys.at_distance(70))
         assert estimate_photon_bounds(tallies, s) == estimate_photon_bounds(tallies, s)
 
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_sequence_tally_gives_the_array_bounds(self, gys, container):
+        s = balanced_set(0.48)
+        tallies = synthesize_tallies(s, gys.at_distance(70))
+        columns = (container(a.tolist()) for a in (tallies.intensity, tallies.gain, tallies.qber))
+        as_sequence = estimate_photon_bounds(ObservedTally(*columns), s)
+        as_array = estimate_photon_bounds(tallies, s)
+
+        def values(bounds):
+            return [np.asarray(getattr(bounds, f.name)).tobytes() for f in fields(bounds) if f.compare]
+
+        assert values(as_sequence) == values(as_array)
+        assert as_sequence.clamps.tobytes() == as_array.clamps.tobytes()
+
     def test_invalid_set_rejected(self, gys):
         with pytest.raises(IntensityConstraintError):
             s = IntensitySet(mu=0.30, nu1=0.225, nu2=0.25, nu3=0.05)
@@ -337,7 +353,6 @@ class TestEstimatePhotonBounds:
         # the same combinations of the same float tallies and intensities at
         # 100 digits; a forward error of a few eps times the sum of the
         # numerator's term magnitudes over the denominator is all round-off
-        mpmath = pytest.importorskip("mpmath")
         s = construct_intensity_set(mu)
         tallies = synthesize_tallies(s, gys.at_distance(np.arange(0.0, 251.0)))
         bounds = estimate_photon_bounds(tallies, s)
@@ -369,7 +384,6 @@ class TestDecoyLemmas:
         # Y2L's w_3 = -(mu^3 / 3) r / D2 with r the balance residual. Lemma 1
         # is tight for n = 3 as nu3 and nu2 near 2mu/3, so w_n <= 0 is not
         # strict. At 50 digits, from the sets' float intensities
-        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(13)
         checked = 0
         while checked < 12:

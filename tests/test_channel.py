@@ -1,10 +1,13 @@
+import dataclasses
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from decoyqkd import (
+    PROTOCOLS,
     ChannelParams,
     IntensitySet,
     ObservedTally,
@@ -13,6 +16,7 @@ from decoyqkd import (
     exact_stats,
     honest_tally,
     poisson_weight,
+    rate_at,
     synthesize_tallies,
     transmittance,
 )
@@ -45,11 +49,10 @@ class TestPoissonWeight:
     def test_tail_below_1e30_at_n50(self):
         # the double-precision sum cannot resolve the tail; check it in
         # 60-digit arithmetic
-        mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 60
-        mu = mpmath.mpf(1)
-        total = sum(mu**n * mpmath.exp(-mu) / mpmath.factorial(n) for n in range(51))
-        assert 1 - total < mpmath.mpf("1e-30")
+        with mpmath.workdps(60):
+            mu = mpmath.mpf(1)
+            total = sum(mu**n * mpmath.exp(-mu) / mpmath.factorial(n) for n in range(51))
+            assert 1 - total < mpmath.mpf("1e-30")
 
     def test_negative_mu_rejected(self):
         for mu in (-0.1, math.nan, math.inf):
@@ -107,6 +110,36 @@ def test_sequence_distance_gives_the_array_results(gys, distances):
 
     as_array = observables(gys.at_distance(np.array(distances, dtype=float)))
     as_sequence = observables(gys.at_distance(distances))
+    assert [a.tobytes() for a in as_sequence] == [a.tobytes() for a in as_array]
+
+
+#: Three in-range values of each link field but the distance
+LINK_VALUES = {
+    "alpha_db_per_km": [0.2, 0.21, 1.5],
+    "eta_bob": [0.045, 0.1, 1.0],
+    "y0": [0.0, 1.7e-6, 1e-5],
+    "e_det": [0.0, 0.033, 0.5],
+    "f_ec": [1.0, 1.22, 2.0],
+}
+
+
+@pytest.mark.parametrize("container", [list, tuple])
+@pytest.mark.parametrize("field", list(LINK_VALUES))
+def test_sequence_field_gives_the_array_results(gys, field, container):
+    # the observables at one distance, where the field's axis is their only
+    # one, and each protocol's rates over three distances, one value each
+    def results(value):
+        link = dataclasses.replace(gys, **{field: value})
+        params = link.at_distance(10.0)
+        tally, stats = honest_tally(0.5, params), exact_stats(1, 0.5, params)
+        distances = np.array([0.0, 50.0, 100.0])
+        rates = [rate_at(protocol, 0.48, link, distances).rate for protocol in PROTOCOLS]
+        return transmittance(params), tally.gain, tally.qber, stats.gain, stats.error_rate, *rates
+
+    values = LINK_VALUES[field]
+    as_array = results(np.array(values))
+    as_sequence = results(container(values))
+    assert [np.shape(a) for a in as_sequence] == [np.shape(a) for a in as_array]
     assert [a.tobytes() for a in as_sequence] == [a.tobytes() for a in as_array]
 
 
@@ -191,6 +224,14 @@ class TestHonestTally:
         assert ints.gain.tobytes() == floats.gain.tobytes()
         assert ints.qber.tobytes() == floats.qber.tobytes()
         assert honest_tally(0, params).qber == 0.5
+
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_sequence_intensity_gives_the_array_tally(self, gys, container):
+        params = gys.at_distance(10.0)
+        as_array = honest_tally(np.array([0.0, 0.1, 0.5]), params)
+        as_sequence = honest_tally(container([0.0, 0.1, 0.5]), params)
+        for name in ("intensity", "gain", "qber"):
+            assert getattr(as_sequence, name).tobytes() == getattr(as_array, name).tobytes()
 
 
 class TestSynthesizeTallies:

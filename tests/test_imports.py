@@ -1,9 +1,11 @@
 """Module boundaries: no decoyqkd module imports another's private names,
 importing the package loads no third-party module but numpy, no module
-shares a writable array, and no constant array is defined twice."""
+shares a writable array, and no constant array is defined twice. The tests
+import no third-party module that the `test` extra does not declare."""
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ import pytest
 import decoyqkd
 
 MODULES = sorted(Path(decoyqkd.__file__).parent.glob("*.py"))
+TESTS = Path(__file__).parent
 
 
 def private_imports(path: Path) -> list[str]:
@@ -49,6 +52,25 @@ def test_runtime_imports_only_numpy():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, cwd=src
     ).stdout
     assert out.split() == ["decoyqkd", "numpy"]
+
+
+def test_test_extra_declares_every_third_party_test_import():
+    # the suite has one configuration, with the extra installed, and no test
+    # skips for a missing module; a regex, as Python 3.10 has no tomllib
+    pyproject = (TESTS.parent / "pyproject.toml").read_text()
+    extra = re.search(r"^test\s*=\s*\[(.*?)\]", pyproject, re.MULTILINE | re.DOTALL).group(1)
+    declared = {re.match(r"[\w.-]+", name).group() for name in re.findall(r'"([^"]+)"', extra)}
+    paths, imported = list(TESTS.rglob("*.py")), set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    local = {"decoyqkd"} | {path.stem for path in paths}
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert {"hypothesis", "mpmath"} <= third_party
+    assert sorted(third_party - declared - {"numpy", "pytest"}) == []
 
 
 def test_module_arrays_are_read_only():

@@ -11,11 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
-
-from decoyqkd import (  # noqa: E402
+from decoyqkd import (
     DEFAULT_NU3,
     PROTOCOLS,
     ChannelParams,
@@ -33,8 +31,8 @@ from decoyqkd import (  # noqa: E402
     synthesize_tallies,
     transmittance,
 )
-from decoyqkd.cli import main  # noqa: E402
-from decoyqkd.sweeps import COARSE_STEP_KM, MAX_MU, RESOLUTION_KM, SCAN_LIMIT_KM  # noqa: E402
+from decoyqkd.cli import main
+from decoyqkd.sweeps import COARSE_STEP_KM, MAX_MU, RESOLUTION_KM, SCAN_LIMIT_KM
 
 
 def examples(count: int) -> int:

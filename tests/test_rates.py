@@ -2,6 +2,7 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -171,13 +172,11 @@ class TestUntaggedFraction:
         # 1 - (1 + mu + mu^2/2) e^(-mu) cancels to round-off at 1e-7, is 29% off at
         # 1.01e-5 and 1e-6 off at 4.9e-4; the gain is that of a dark-free link at
         # the optimal mu = sqrt(2 eta), about mu^3/2
-        mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 50
-
         def exact(mu, gain):
-            m = mpmath.mpf(mu)
-            tagged = 1 - (1 + m + m**2 / 2) * mpmath.exp(-m)
-            return pytest.approx(float(1 - tagged / mpmath.mpf(gain)), rel=1e-12)
+            with mpmath.workdps(50):
+                m = mpmath.mpf(mu)
+                tagged = 1 - (1 + m + m**2 / 2) * mpmath.exp(-m)
+                return pytest.approx(float(1 - tagged / mpmath.mpf(gain)), rel=1e-12)
 
         for mu in (1e-7, 1.01e-5, 3e-5, 1e-4, 4.9e-4):
             gain = mu**3 / 2
@@ -236,7 +235,6 @@ def _exact_optimal_mu(eta: float) -> float:
     Written as sqrt(2 eta) W0(z) / z with z = -k sqrt(2 eta), whose limit at
     z = 0 (eta = 1) is sqrt(2 eta).
     """
-    mpmath = pytest.importorskip("mpmath")
     x = math.sqrt(2.0 * eta)
     z = -0.5 * (1.0 - eta) * x
     return x * mpmath.fp.lambertw(z) / z if z else x
