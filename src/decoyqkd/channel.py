@@ -6,9 +6,9 @@ misalignment error, and random dark counts (error rate 1/2). One function,
 ``honest_tally``, turns intensities into gains and QBERs; the five pulse
 classes of ``synthesize_tallies`` are one call of it.
 
-The channel functions are elementwise in distance: ``distance_km`` may be
-an array, and every observable then has its shape broadcast with the
-intensity's.
+A link is one point: every ``ChannelParams`` field but the distance is a
+number. The distance is the only axis: ``distance_km`` may be an array, and
+every observable then has its shape broadcast with the intensity's.
 
 The other modules share its read-only 0-d float64 operands ``ZERO``,
 ``QUARTER``, ``HALF``, ``ONE``, ``TWO`` and ``TEN``, its ``read_only`` for
@@ -64,14 +64,20 @@ def within(x, low: float, high: float) -> bool:
     return bool(smallest >= low and np.maximum.reduce(x, None, initial=-np.inf) <= high)
 
 
-#: Each ChannelParams field's range (name, low, high, requirement); nextafter opens a closed end.
+#: The types of a real number; a str, which np.asarray would parse, is not one.
+_NUMBER = (int, float, np.integer, np.floating)
+
+#: Each ChannelParams field's accepted types and range (name, types, low, high,
+#: requirement); nextafter opens a closed end. Only the distance takes an array,
+#: or a list or tuple, which becomes one.
 _CHANNEL_RANGES = (
-    ("alpha_db_per_km", 0.0, sys.float_info.max, "finite and >= 0"),
-    ("distance_km", 0.0, sys.float_info.max, "finite and >= 0"),
-    ("eta_bob", math.nextafter(0.0, 1.0), 1.0, "in (0, 1]"),
-    ("y0", 0.0, math.nextafter(1.0, 0.0), "in [0, 1)"),
-    ("e_det", 0.0, 0.5, "in [0, 0.5]"),
-    ("f_ec", 1.0, sys.float_info.max, "finite and >= 1"),
+    ("alpha_db_per_km", _NUMBER, 0.0, sys.float_info.max, "finite and >= 0"),
+    ("distance_km", (*_NUMBER, np.ndarray, list, tuple), 0.0, sys.float_info.max,
+     "finite and >= 0"),
+    ("eta_bob", _NUMBER, math.nextafter(0.0, 1.0), 1.0, "in (0, 1]"),
+    ("y0", _NUMBER, 0.0, math.nextafter(1.0, 0.0), "in [0, 1)"),
+    ("e_det", _NUMBER, 0.0, 0.5, "in [0, 0.5]"),
+    ("f_ec", _NUMBER, 1.0, sys.float_info.max, "finite and >= 1"),
 )
 
 
@@ -79,9 +85,14 @@ _CHANNEL_RANGES = (
 class ChannelParams:
     """Fiber link, detector, and post-processing parameters, all finite.
 
+    A link is one point: each field but the distance is a real number, and
+    anything else (an array, a list, a tuple, a str) raises the field's
+    ``ParameterError``. The distance is the only axis.
+
     Attributes:
         alpha_db_per_km: fiber attenuation in dB/km.
-        distance_km: fiber length in km, a number or an array of lengths.
+        distance_km: fiber length in km, a number or an array of lengths; a
+            list or tuple becomes a float64 array.
         eta_bob: receiver detection efficiency, in (0, 1].
         y0: background (dark-count) yield per pulse.
         e_det: misalignment error probability, in [0, 0.5].
@@ -96,10 +107,12 @@ class ChannelParams:
     f_ec: float
 
     def __post_init__(self):
-        for name, low, high, requirement in _CHANNEL_RANGES:
+        for name, types, low, high, requirement in _CHANNEL_RANGES:
             value = getattr(self, name)
-            # the channel arithmetic takes numbers and arrays; a list or tuple
-            # becomes a float64 array once, here
+            if not isinstance(value, types):
+                raise ParameterError(f"{name} must be {requirement}")
+            # only the distance's types admit a list or tuple, which the channel
+            # arithmetic does not take: it becomes a float64 array once, here
             if type(value) in (list, tuple):
                 value = np.array(value, dtype=float)
                 object.__setattr__(self, name, value)
@@ -203,7 +216,7 @@ def transmittance(params: ChannelParams) -> float:
     # alpha * distance above ~1.8e308 overflows, where eta = 0 is the limit. An
     # alpha <= 1 keeps it within the distance's float range; 10^(x <= 0) can
     # only underflow, which numpy ignores by default
-    guard = _NO_GUARD if isinstance(alpha, float) and alpha <= 1.0 else np.errstate(over="ignore")
+    guard = _NO_GUARD if alpha <= 1.0 else np.errstate(over="ignore")
     # np.power: ** on a Python float can round differently from the array loop
     with guard:
         return params.eta_bob * np.power(TEN, -alpha * params.distance_km / TEN)
@@ -235,8 +248,7 @@ def honest_tally(intensity: float, params: ChannelParams) -> ObservedTally:
     if np.minimum.reduce(gain, None, initial=1, where=sent) <= 0:
         raise UndefinedQberError("QBER is undefined at zero gain")
     numerator = E_VACUUM * params.y0 - params.e_det * minus_hit
-    # the numerator's shape, which an e_det array widens beyond the gain's
-    qber = np.empty(np.shape(numerator))
+    qber = np.empty(np.shape(gain))
     qber.fill(E_VACUUM)
     np.divide(numerator, gain, out=qber, where=sent)
     return ObservedTally(intensity, gain, qber[()])

@@ -22,7 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import PhotonBounds
-from .channel import ChannelParams, E_VACUUM, ParameterError, poisson_weight, transmittance
+from .channel import (
+    ChannelParams,
+    E_VACUUM,
+    ParameterError,
+    UndefinedQberError,
+    poisson_weight,
+    transmittance,
+)
 
 #: Series truncation of reconstruct_gain (for mu <= 1 the dropped Poisson
 #: tail is far below every tolerance used in this package), and points per
@@ -53,8 +60,7 @@ def exact_stats(n: int, mu: float, params: ChannelParams) -> ExactPhotonStats:
     # where no detection is possible, the error rate is that of a guess, 1/2
     detected = (y_raw > 0) & (n != 0)
     numerator = E_VACUUM * params.y0 + params.e_det * hit
-    # the numerator's shape, which an e_det array widens beyond the yield's
-    guess = np.full(np.shape(numerator), E_VACUUM)
+    guess = np.full(np.shape(y_raw), E_VACUUM)
     error_rate = np.divide(numerator, y_raw, out=guess, where=detected)
     detection_yield = np.minimum(y_raw, 1.0)
     return ExactPhotonStats(
@@ -80,10 +86,16 @@ def reconstruct_gain(mu: float, params: ChannelParams) -> tuple[float, float]:
 
     Agrees with the closed-form channel model to round-off while no n of
     non-negligible Poisson weight has Y0 + 1 - (1 - eta)^n > 1, where
-    exact_stats caps the yield at 1 (see the module docstring).
+    exact_stats caps the yield at 1 (see the module docstring). As in
+    ``honest_tally``, a vacuum source (mu = 0) has QBER 1/2 even at zero
+    gain; any other source with zero gain raises ``UndefinedQberError``.
     """
     stats = [exact_stats(n, mu, params) for n in range(N_MAX + 1)]
     gain = np.sum([s.gain for s in stats], axis=0)
+    if mu == 0:
+        return gain, np.full(np.shape(gain), E_VACUUM)[()]
+    if np.minimum.reduce(gain, None, initial=1) <= 0:
+        raise UndefinedQberError("QBER is undefined at zero gain")
     return gain, np.sum([s.gain * s.error_rate for s in stats], axis=0) / gain
 
 

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from decoyqkd import (
-    PROTOCOLS,
     ChannelParams,
     IntensitySet,
     ObservedTally,
     ParameterError,
     UndefinedQberError,
+    estimate_photon_bounds,
     exact_stats,
     honest_tally,
+    max_secure_distance,
     poisson_weight,
     rate_at,
     synthesize_tallies,
@@ -89,9 +90,8 @@ class TestTransmittance:
             # above 1 the guard is entered; at 5 dB/km the product overflows
             (math.nextafter(1.0, 2.0), 1e308),
             (5.0, 1e308),
-            (np.array([0.2, 5.0]), 1e308),
         ],
-        ids=["alpha-1", "alpha-above-1", "alpha-5", "alpha-array"],
+        ids=["alpha-1", "alpha-above-1", "alpha-5"],
     )
     def test_far_end_is_dark_without_a_warning(self, gys, alpha, distance):
         # an array distance takes the product through numpy, which warns on overflow
@@ -113,34 +113,47 @@ def test_sequence_distance_gives_the_array_results(gys, distances):
     assert [a.tobytes() for a in as_sequence] == [a.tobytes() for a in as_array]
 
 
-#: Three in-range values of each link field but the distance
-LINK_VALUES = {
-    "alpha_db_per_km": [0.2, 0.21, 1.5],
-    "eta_bob": [0.045, 0.1, 1.0],
-    "y0": [0.0, 1.7e-6, 1e-5],
-    "e_det": [0.0, 0.033, 0.5],
-    "f_ec": [1.0, 1.22, 2.0],
-}
+@pytest.mark.parametrize(
+    "wrap",
+    [lambda v: [v, v], lambda v: (v, v), lambda v: np.array([v, v]), np.array, str],
+    ids=["list", "tuple", "array", "0d-array", "str"],
+)
+@pytest.mark.parametrize("field", ["alpha_db_per_km", "eta_bob", "y0", "e_det", "f_ec"])
+def test_a_link_field_that_is_not_a_number_is_rejected(gys, field, wrap):
+    # a link is one point, and the distance is its only axis; each holds the
+    # GYS value, which the range test alone would pass (np.asarray parses a str)
+    with pytest.raises(ParameterError, match=f"^{field} must be "):
+        dataclasses.replace(gys, **{field: wrap(getattr(gys, field))})
 
 
-@pytest.mark.parametrize("container", [list, tuple])
-@pytest.mark.parametrize("field", list(LINK_VALUES))
-def test_sequence_field_gives_the_array_results(gys, field, container):
-    # the observables at one distance, where the field's axis is their only
-    # one, and each protocol's rates over three distances, one value each
-    def results(value):
-        link = dataclasses.replace(gys, **{field: value})
-        params = link.at_distance(10.0)
-        tally, stats = honest_tally(0.5, params), exact_stats(1, 0.5, params)
-        distances = np.array([0.0, 50.0, 100.0])
-        rates = [rate_at(protocol, 0.48, link, distances).rate for protocol in PROTOCOLS]
-        return transmittance(params), tally.gain, tally.qber, stats.gain, stats.error_rate, *rates
+#: The mu = 0.48 set of the other tallies in this file
+S_48 = IntensitySet(mu=0.48, nu1=0.36, nu2=0.18496575181789318, nu3=0.05)
 
-    values = LINK_VALUES[field]
-    as_array = results(np.array(values))
-    as_sequence = results(container(values))
-    assert [np.shape(a) for a in as_sequence] == [np.shape(a) for a in as_array]
-    assert [a.tobytes() for a in as_sequence] == [a.tobytes() for a in as_array]
+
+@pytest.mark.parametrize(
+    "field,value,call",
+    [
+        # rate_at gave the first value's rate
+        ("y0", [1e-6, 2e-6, 3e-6], lambda link: rate_at("nonorthogonal-decoy", 0.48, link, 50.0)),
+        # a bare numpy broadcast ValueError
+        (
+            "y0",
+            [1e-6, 2e-6, 3e-6],
+            lambda link: max_secure_distance("nonorthogonal-decoy", 0.48, link),
+        ),
+        # a non-broadcastable output operand in estimate_photon_bounds
+        (
+            "e_det",
+            np.array([0.01, 0.033]),
+            lambda link: estimate_photon_bounds(synthesize_tallies(S_48, link), S_48),
+        ),
+    ],
+    ids=["rate_at", "max_secure_distance", "estimate_photon_bounds"],
+)
+def test_a_link_field_array_fails_when_the_link_is_built(gys, field, value, call):
+    # each once reached the rate layer, where it gave a wrong number or a bare error
+    with pytest.raises(ParameterError, match=f"^{field} must be "):
+        call(dataclasses.replace(gys, distance_km=10.0, **{field: value}))
 
 
 class TestHonestGain:
@@ -288,7 +301,8 @@ class TestSynthesizeTallies:
         ("distance_km", np.array([0.0, 50.0, math.nan])),
         ("distance_km", np.array([0.0, math.inf])),
         ("distance_km", np.array([10.0, -1.0])),
-        # a numpy float takes the number test, a 0-d array and an int the array test
+        # in within, a numpy float takes the float test, a 0-d distance and an
+        # int the array test; a link field that is an array fails the type test
         pytest.param("y0", np.float64(math.nan), id="y0-float64-nan"),
         pytest.param("distance_km", np.array(math.nan), id="distance_km-0d-nan"),
         pytest.param("eta_bob", 2, id="eta_bob-int-2"),
@@ -304,7 +318,8 @@ def test_channel_params_invariants(field, value):
 
 
 @pytest.mark.parametrize(
-    "distance", [math.nan, -1.0, np.array([10.0, math.nan]), np.array([1, -1])]
+    # np.asarray would parse the str
+    "distance", [math.nan, -1.0, np.array([10.0, math.nan]), np.array([1, -1]), "10"]
 )
 def test_at_distance_rejects_a_bad_distance(gys, distance):
     with pytest.raises(ParameterError, match=r"^distance_km must be finite and >= 0$"):

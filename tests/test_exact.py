@@ -6,6 +6,7 @@ import pytest
 from decoyqkd import (
     ChannelParams,
     ParameterError,
+    UndefinedQberError,
     exact_bounds,
     exact_stats,
     honest_tally,
@@ -127,6 +128,14 @@ class TestReconstructGain:
         gain, qber = reconstruct_gain(0.3, params)
         assert gain == pytest.approx(honest_tally(0.3, params).gain, abs=1e-12)
         assert qber == pytest.approx(0.033, rel=1e-9)
+
+    def test_zero_gain_follows_honest_tally(self):
+        # no dark counts, and the transmittance underflows to 0: the vacuum's
+        # QBER is 1/2, any other source's is undefined, as in honest_tally
+        params = ChannelParams(4.0, 1000.0, 0.045, 0.0, 0.033, 1.22)
+        assert reconstruct_gain(0.0, params) == (0.0, 0.5)
+        with pytest.raises(UndefinedQberError):
+            reconstruct_gain(0.5, params)
 
     @pytest.mark.parametrize("y0", [0.0, 1.7e-6, 0.1])
     @pytest.mark.parametrize("mu", [0.1, 0.48, 1.0])
