@@ -8,9 +8,9 @@ error rates e1 and e2, and the corresponding gain bounds Q1, Q2. The
 bounds are conservative for any channel whose per-photon-number yields and
 error rates lie in [0, 1]: Y1L <= Y1, e1U >= e1, Y2L <= Y2, e2U >= e2. An
 ``IntensitySet`` meets the intensity constraints the bounds rest on: it
-checks them when it is built, and it carries the class intensities, the
-coefficient matrix and the estimator's other per-set factors, each
-computed once per set.
+checks them when it is built, and on first use it builds, in one pass from
+Python floats, every constant the estimator takes from it: the class
+intensities, the coefficient matrix and the other per-set factors.
 
 The tallies are positional: one ``ObservedTally`` with the classes vacuum,
 nu3, nu2, nu1, mu on axis 0, which one (2, 5) coefficient matrix maps to
@@ -35,8 +35,11 @@ class IntensityConstraintError(ValueError):
     """An intensity set violates the ordering or balance constraints."""
 
 
-#: Tolerance on the cubic balance residual nu1 - nu2 - (nu1^3 - nu2^3) / mu^2.
+#: Tolerance on the cubic balance residual nu1 - nu2 - (nu1^3 - nu2^3) / mu^2
+#: above 0. Below 0 it is BALANCE_ROUND_OFF * mu, four float epsilons: for mu
+#: in [1e-6, 100], construct_intensity_set's own residuals stay above -0.75 eps mu.
 BALANCE_RESIDUAL_TOL = 1e-9
+BALANCE_ROUND_OFF = 4.0 * sys.float_info.epsilon
 
 
 def balance_residual(intensities: IntensitySet) -> float:
@@ -64,16 +67,18 @@ class IntensitySet:
         nu2 < nu1
         nu1 + nu2 > mu
         nu2 + nu3 < mu
-        |nu1 - nu2 - (nu1^3 - nu2^3)/mu^2| <= 1e-9
+        -4 eps mu <= nu1 - nu2 - (nu1^3 - nu2^3)/mu^2 <= 1e-9 (eps the float
+        epsilon: a negative residual is allowed only as round-off)
         Y1L and Y2L denominators > 0 as floats (they underflow for mu < ~1e-108)
         nu3^2 a normal float, as the e1U and e2U scales nu3 and nu3^2 must be
         (it underflows for nu3 < ~1.5e-154)
 
     Raises IntensityConstraintError naming each violated constraint.
 
-    The class intensities, the coefficient matrix and the estimator's other
-    per-set factors below are computed on first use and kept with the set,
-    read-only.
+    On first use, one pass builds every constant the estimator takes from the
+    set: the class intensities (``classes``), the coefficient matrix
+    (``coefficients``) and the other per-set factors. They are kept with the
+    set, read-only, so each read returns the same array.
     """
 
     mu: float
@@ -112,41 +117,58 @@ class IntensitySet:
             problems.append(f"nu3={nu3} is too small: nu3^2 underflows below the normal floats")
         if not problems:
             residual = balance_residual(self)
-            if abs(residual) > BALANCE_RESIDUAL_TOL:
+            # one-sided: a negative residual r lets Y2L exceed Y2 by up to
+            # (mu^3/3)|r|/D2 per unit Y3, so only round-off is allowed below 0
+            floor = -BALANCE_ROUND_OFF * mu
+            if not floor <= residual <= BALANCE_RESIDUAL_TOL:
                 problems.append(
                     "cubic balance nu1 - nu2 - (nu1^3 - nu2^3)/mu^2 = 0 violated "
-                    f"(residual={residual:.3e}, tol={BALANCE_RESIDUAL_TOL:.0e})"
+                    f"(residual={residual:.3e}, tol={BALANCE_RESIDUAL_TOL:.0e}, "
+                    f"floor={floor:.3e})"
                 )
         if problems:
             raise IntensityConstraintError("; ".join(problems))
 
     @cached_property
-    def classes(self) -> np.ndarray:
-        """The pulse-class intensities (0, nu3, nu2, nu1, mu), in that order."""
-        return read_only(np.array([0.0, self.nu3, self.nu2, self.nu1, self.mu]))
-
-    @cached_property
-    def coefficients(self) -> np.ndarray:
-        """The map from the five gains to Y1L and Y2L, e^nu and the denominators
-        folded in, class by class: row i holds class i's (Y1L, Y2L) coefficients."""
+    def _constants(self) -> tuple:
+        """Everything the estimator takes from the set, built in one pass from
+        Python floats: the class column as an array and as the list the intensity
+        match compares, the coefficient matrix, e^nu3, e^-mu, (nu3, nu3^2) and
+        (mu, mu^2); each array read-only."""
         mu, nu1, nu2, nu3 = self.mu, self.nu1, self.nu2, self.nu3
+        intensities = [0.0, float(nu3), float(nu2), float(nu1), float(mu)]
         signal_1, signal_2 = nu2**2 - nu3**2, 2.0 * (nu1 - nu2)
         y1_numerators = (signal_1, -(mu**2), mu**2, 0.0, -signal_1)
         y2_numerators = (signal_2, 0.0, -2.0 * mu, 2.0 * mu, -signal_2)
         boost = (1.0, math.exp(nu3), math.exp(nu2), math.exp(nu1), math.exp(mu))
         d1, d2 = _denominators(self)
-        # each entry numerator * e^nu / denominator, as numbers; one array call
-        rows = [(a * e / d1, b * e / d2) for a, b, e in zip(y1_numerators, y2_numerators, boost)]
-        return read_only(np.array(rows))
-
-    @cached_property
-    def _factors(self) -> tuple:
-        """What ``estimate_photon_bounds`` takes from the set on every call: the
-        class intensities as a list, e^nu3, e^-mu, (nu3, nu3^2) and (mu, mu^2)."""
-        mu, nu3 = self.mu, self.nu3
+        # each entry numerator * e^nu / denominator, as numbers, class by class
+        entries = []
+        for a, b, e in zip(y1_numerators, y2_numerators, boost):
+            entries += (a * e / d1, b * e / d2)
         # float64 arrays, as the estimator's array operands should be (see channel.ZERO)
-        factors = (math.exp(nu3), math.exp(-mu), (nu3, nu3**2), (mu, mu**2))
-        return (self.classes.tolist(), *(read_only(np.array(f)) for f in factors))
+        arrays = (
+            np.array(intensities),
+            np.array(entries),
+            np.array(math.exp(nu3)),
+            np.array(math.exp(-mu)),
+            np.array((nu3, nu3**2)),
+            np.array((mu, mu**2)),
+        )
+        classes, entries, *factors = map(read_only, arrays)
+        # a view of a read-only array is read-only too
+        return (classes, intensities, entries.reshape(5, 2), *factors)
+
+    @property
+    def classes(self) -> np.ndarray:
+        """The pulse-class intensities (0, nu3, nu2, nu1, mu), in that order."""
+        return self._constants[0]
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """The map from the five gains to Y1L and Y2L, e^nu and the denominators
+        folded in, class by class: row i holds class i's (Y1L, Y2L) coefficients."""
+        return self._constants[2]
 
 
 #: The caps of e1U and e2U.
@@ -243,7 +265,9 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
     """
     if not isinstance(intensities, IntensitySet):
         raise TypeError(f"intensities must be an IntensitySet, got {type(intensities).__name__}")
-    expected, exp_nu3, exp_neg_mu, error_scale, gain_scale = intensities._factors
+    _, expected, coefficients, exp_nu3, exp_neg_mu, error_scale, gain_scale = (
+        intensities._constants
+    )
     observed = np.asarray(tallies.intensity).ravel().tolist()
     if observed != expected:
         raise ValueError(
@@ -259,7 +283,7 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
     # Python's sum would. Only a zero's sign can differ, since sum starts from the
     # integer 0 and so turns -0.0 into +0.0; the clamp below gives +0.0 for
     # either, and the clamp mask tests <= 0
-    raw_yield = np.add.reduce(intensities.coefficients.reshape((5,) + column) * gain[:, None], 0)
+    raw_yield = np.add.reduce(coefficients.reshape((5,) + column) * gain[:, None], 0)
     factorials = _FACTORIALS.reshape(column)
     # n! (E_nu3 Q_nu3 e^nu3 - e0 Y0), the numerator of e_nU
     weight = (qber[1] * gain[1] * exp_nu3 - e0 * y0) * factorials

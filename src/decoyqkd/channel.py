@@ -12,7 +12,8 @@ every observable then has its shape broadcast with the intensity's.
 
 The other modules share its read-only 0-d float64 operands ``ZERO``,
 ``QUARTER``, ``HALF``, ``ONE``, ``TWO`` and ``TEN``, its ``read_only`` for
-constants and its range test ``within`` (every element in [low, high]).
+constants, its range test ``within`` (every element in [low, high]) and
+``REAL_KINDS``, the dtype kinds of an array that holds numbers.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class UndefinedQberError(ValueError):
 
 def read_only(array: np.ndarray) -> np.ndarray:
     """``array``, no longer writable: a constant shared by every call."""
-    array.flags.writeable = False
+    array.setflags(write=False)  # about half the cost of setting flags.writeable
     return array
 
 
@@ -67,17 +68,22 @@ def within(x, low: float, high: float) -> bool:
 #: The types of a real number; a str, which np.asarray would parse, is not one.
 _NUMBER = (int, float, np.integer, np.floating)
 
+#: The numpy dtype kinds of a real array (bool, signed and unsigned int, float).
+REAL_KINDS = "biuf"
+
+_FLOAT_MAX = sys.float_info.max
+_FLOAT64 = np.dtype(float)
+
 #: Each ChannelParams field's accepted types and range (name, types, low, high,
 #: requirement); nextafter opens a closed end. Only the distance takes an array,
 #: or a list or tuple, which becomes one.
 _CHANNEL_RANGES = (
-    ("alpha_db_per_km", _NUMBER, 0.0, sys.float_info.max, "finite and >= 0"),
-    ("distance_km", (*_NUMBER, np.ndarray, list, tuple), 0.0, sys.float_info.max,
-     "finite and >= 0"),
+    ("alpha_db_per_km", _NUMBER, 0.0, _FLOAT_MAX, "finite and >= 0"),
+    ("distance_km", (*_NUMBER, np.ndarray, list, tuple), 0.0, _FLOAT_MAX, "finite and >= 0"),
     ("eta_bob", _NUMBER, math.nextafter(0.0, 1.0), 1.0, "in (0, 1]"),
     ("y0", _NUMBER, 0.0, math.nextafter(1.0, 0.0), "in [0, 1)"),
     ("e_det", _NUMBER, 0.0, 0.5, "in [0, 0.5]"),
-    ("f_ec", _NUMBER, 1.0, sys.float_info.max, "finite and >= 1"),
+    ("f_ec", _NUMBER, 1.0, _FLOAT_MAX, "finite and >= 1"),
 )
 
 
@@ -107,15 +113,41 @@ class ChannelParams:
     f_ec: float
 
     def __post_init__(self):
+        # one test of the ranges for the common case, Python floats and a float64
+        # distance array, which NaN and inf fail; the loop below runs only where it
+        # fails, to name the first field out of range
+        alpha, distance, eta, y0, e_det, f_ec = (
+            self.alpha_db_per_km, self.distance_km, self.eta_bob, self.y0, self.e_det, self.f_ec
+        )
+        if (
+            type(alpha) is type(eta) is type(y0) is type(e_det) is type(f_ec) is float
+            and 0.0 <= alpha <= _FLOAT_MAX
+            and 0.0 < eta <= 1.0
+            and 0.0 <= y0 < 1.0
+            and 0.0 <= e_det <= 0.5
+            and 1.0 <= f_ec <= _FLOAT_MAX
+        ):
+            if type(distance) is float:
+                if 0.0 <= distance <= _FLOAT_MAX:
+                    return
+            elif type(distance) is np.ndarray and distance.dtype is _FLOAT64:
+                if within(distance, 0.0, _FLOAT_MAX):
+                    return
         for name, types, low, high, requirement in _CHANNEL_RANGES:
             value = getattr(self, name)
             if not isinstance(value, types):
                 raise ParameterError(f"{name} must be {requirement}")
             # only the distance's types admit a list or tuple, which the channel
-            # arithmetic does not take: it becomes a float64 array once, here
+            # arithmetic does not take: it becomes a float64 array once, here. Not
+            # by np.array(dtype=float), which would parse a str
             if type(value) in (list, tuple):
-                value = np.array(value, dtype=float)
+                value = np.array(value)
+                if value.dtype.kind in REAL_KINDS:
+                    value = value.astype(float)
                 object.__setattr__(self, name, value)
+            # an array of str or of objects is no number, though within parses it
+            if isinstance(value, np.ndarray) and value.dtype.kind not in REAL_KINDS:
+                raise ParameterError(f"{name} must be {requirement}")
             if not within(value, low, high):
                 raise ParameterError(f"{name} must be {requirement}")
 
@@ -243,8 +275,9 @@ def honest_tally(intensity: float, params: ChannelParams) -> ObservedTally:
     # eta * intensity is below about 1e-16
     minus_hit = np.expm1(-eta * intensity)
     gain = np.minimum(params.y0 - minus_hit, ONE)
-    # the vacuum's QBER is that of the dark counts, 1/2, even at zero gain
-    sent = intensity != ZERO
+    # the vacuum's QBER is that of the dark counts, 1/2, even at zero gain. A
+    # Python float against the number 0: against the array ZERO it is a ufunc call
+    sent = intensity != 0.0 if type(intensity) is float else intensity != ZERO
     if np.minimum.reduce(gain, None, initial=1, where=sent) <= 0:
         raise UndefinedQberError("QBER is undefined at zero gain")
     numerator = E_VACUUM * params.y0 - params.e_det * minus_hit

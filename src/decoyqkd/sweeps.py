@@ -19,7 +19,15 @@ from typing import Callable, Union
 import numpy as np
 
 from .bounds import IntensityConstraintError, IntensitySet, estimate_photon_bounds
-from .channel import ZERO, ChannelParams, honest_tally, read_only, synthesize_tallies, transmittance
+from .channel import (
+    REAL_KINDS,
+    ZERO,
+    ChannelParams,
+    honest_tally,
+    read_only,
+    synthesize_tallies,
+    transmittance,
+)
 from .exact import exact_bounds
 from .rates import (
     DECOY_RATES,
@@ -164,11 +172,15 @@ def _prepare(
 
         return evaluate
 
+    optimal = mu == OPTIMAL_MU
+    # a fixed mu's e^-mu is one number per request
+    exp_neg_mu = None if optimal else np.exp(-mu)
+
     def evaluate(distances):
         params = channel.at_distance(distances)
-        signal_mu = optimal_mu_sarg04(transmittance(params)) if mu == OPTIMAL_MU else mu
+        signal_mu = optimal_mu_sarg04(transmittance(params)) if optimal else mu
         signal = honest_tally(signal_mu, params)
-        q0 = params.y0 * np.exp(-signal_mu)
+        q0 = params.y0 * (np.exp(-signal_mu) if optimal else exp_neg_mu)
         return signal_mu, rate_sarg04_worst(signal, q0, untagged_fraction(signal))
 
     return evaluate
@@ -187,7 +199,11 @@ def rate_at(
     A number is evaluated as a one-element array, with the same arithmetic.
     """
     evaluate = _prepare(protocol, mu, channel, nu3)
-    distances = np.atleast_1d(np.asarray(distance_km, dtype=float))
+    distances = np.atleast_1d(distance_km)
+    # a real array is evaluated as float64; any other (a str's, say) is not parsed
+    # but reaches the link's check, which rejects it
+    if distances.dtype.kind in REAL_KINDS:
+        distances = distances.astype(float, copy=False)
     mu, rate = evaluate(distances)
     mus = np.full(distances.shape, mu)
     if np.ndim(distance_km) == 0:

@@ -62,6 +62,21 @@ class TestValidateIntensities:
         with pytest.raises(IntensityConstraintError, match="residual"):
             IntensitySet(mu=mu, nu1=nu1, nu2=nu2, nu3=0.05)
 
+    @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["negative", "positive"])
+    def test_only_round_off_is_allowed_below_zero(self, sign):
+        # nu2 moved off the quadratic root so that the residual is +-9.9e-10: a
+        # negative one lets Y2L exceed Y2 by (mu^3/3)|r|/D2 per unit Y3
+        mu, nu1 = 0.48, 0.36
+        root = quadratic_nu2(mu, nu1)
+        nu2 = root + sign * 9.9e-10 / (3.0 * root**2 / mu**2 - 1.0)
+        residual = balance_residual(types.SimpleNamespace(mu=mu, nu1=nu1, nu2=nu2))
+        assert residual == pytest.approx(sign * 9.9e-10, rel=1e-6)
+        if sign > 0:
+            assert balance_residual(IntensitySet(mu=mu, nu1=nu1, nu2=nu2, nu3=0.01)) == residual
+        else:
+            with pytest.raises(IntensityConstraintError, match="residual=-9.900e-10"):
+                IntensitySet(mu=mu, nu1=nu1, nu2=nu2, nu3=0.01)
+
     def test_nonpositive_mu_rejected(self):
         with pytest.raises(IntensityConstraintError, match="mu"):
             IntensitySet(mu=0.0, nu1=0.1, nu2=0.05, nu3=0.01)
@@ -273,6 +288,23 @@ class TestBoundTwoPhoton:
 
 
 class TestEstimatePhotonBounds:
+    @pytest.mark.parametrize(
+        "mu,nu3", [(0.1, 0.01), (0.3, 0.05), (0.48, 0.01), (1.0, 1e-4), (100.0, 1.0)]
+    )
+    def test_coefficients_are_the_documented_formula(self, mu, nu3):
+        # the docstring's Y1L and Y2L, each gain's factor in Python floats
+        s = construct_intensity_set(mu, nu3)
+        mu, nu1, nu2, nu3 = s.mu, s.nu1, s.nu2, s.nu3
+        d1 = mu * (nu2 - nu3) * (mu - nu2 - nu3)
+        d2 = mu * (nu1 - nu2) * (nu1 + nu2 - mu)
+        y1 = (nu2**2 - nu3**2) / d1, -mu**2 * math.exp(nu3) / d1, mu**2 * math.exp(nu2) / d1
+        y1 += 0.0, -(nu2**2 - nu3**2) * math.exp(mu) / d1
+        y2 = 2.0 * (nu1 - nu2) / d2, 0.0, -2.0 * mu * math.exp(nu2) / d2
+        y2 += 2.0 * mu * math.exp(nu1) / d2, -2.0 * (nu1 - nu2) * math.exp(mu) / d2
+        expected = [[a.hex(), b.hex()] for a, b in zip(y1, y2)]
+        assert [[a.hex(), b.hex()] for a, b in s.coefficients.tolist()] == expected
+        assert s.coefficients.shape == (5, 2) and s.coefficients.dtype == np.float64
+
     def test_pipeline_fields(self, gys):
         params = gys.at_distance(30)
         s = balanced_set(0.48)
@@ -390,7 +422,8 @@ class TestDecoyLemmas:
             mu = rng.uniform(0.05, 1.0)
             nu1 = mu * rng.uniform(2.0 / 3.0, 0.75)
             nu2 = quadratic_nu2(mu, nu1)
-            # a residual of either sign within the accepted 1e-9: dr/dnu2 = 3 nu2^2/mu^2 - 1
+            # a residual of either sign up to 1e-9 (dr/dnu2 = 3 nu2^2/mu^2 - 1); the
+            # set rejects all but round-off below 0, and the loop draws again
             nu2 += rng.uniform(-0.9e-9, 0.9e-9) / (3.0 * nu2**2 / mu**2 - 1.0)
             nu3 = 1e-4 * (0.3 * mu / 1e-4) ** rng.uniform()
             try:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import sys
 import warnings
 
 import mpmath
@@ -238,6 +240,18 @@ class TestHonestTally:
         assert ints.qber.tobytes() == floats.qber.tobytes()
         assert honest_tally(0, params).qber == 0.5
 
+    @pytest.mark.parametrize(
+        "distance", [10.0, np.arange(0.0, 301.0, 50.0)], ids=["scalar", "array"]
+    )
+    @pytest.mark.parametrize("y0", [1.7e-6, 0.0])  # without dark counts the vacuum has no gain
+    def test_number_intensity_gives_the_one_element_array_tally(self, gys, distance, y0):
+        params = dataclasses.replace(gys, distance_km=distance, y0=y0)
+        for intensity in (0.0, 0.01, 0.48):
+            number, array = honest_tally(intensity, params), honest_tally(np.array([intensity]), params)
+            for name in ("gain", "qber"):
+                values = np.broadcast_to(getattr(number, name), getattr(array, name).shape)
+                assert values.tobytes() == getattr(array, name).tobytes(), (intensity, name)
+
     @pytest.mark.parametrize("container", [list, tuple])
     def test_sequence_intensity_gives_the_array_tally(self, gys, container):
         params = gys.at_distance(10.0)
@@ -318,8 +332,17 @@ def test_channel_params_invariants(field, value):
 
 
 @pytest.mark.parametrize(
-    # np.asarray would parse the str
-    "distance", [math.nan, -1.0, np.array([10.0, math.nan]), np.array([1, -1]), "10"]
+    # np.asarray would parse the str, and np.array(dtype=float) the sequence or
+    # array of str; an array of objects holds no number either
+    "distance",
+    [math.nan, -1.0, np.array([10.0, math.nan]), np.array([1, -1]), "10"]
+    + [
+        pytest.param(("10", "20"), id="str-tuple"),
+        pytest.param(["10", 20.0], id="str-list"),
+        pytest.param(np.array(["10", "20"]), id="str-array"),
+        pytest.param(np.array([10.0, 20.0], dtype=object), id="object-array"),
+        pytest.param(np.array([10.0 + 0j]), id="complex-array"),
+    ],
 )
 def test_at_distance_rejects_a_bad_distance(gys, distance):
     with pytest.raises(ParameterError, match=r"^distance_km must be finite and >= 0$"):
@@ -329,6 +352,57 @@ def test_at_distance_rejects_a_bad_distance(gys, distance):
 @pytest.mark.parametrize("distance", [np.arange(3), np.zeros(0)], ids=["int", "empty"])
 def test_at_distance_accepts_int_and_empty_arrays(gys, distance):
     assert gys.at_distance(distance).distance_km is distance
+
+
+@pytest.mark.parametrize(
+    "distances",
+    [[True, 2, 3.5], (0, 10, 2**63), [[0, 5], [10, 20]], np.array([0, 10], dtype=np.uint8)],
+    ids=["bool-int-float-list", "int-tuple", "nested-list", "uint8-array"],
+)
+def test_real_distances_keep_their_values(gys, distances):
+    # a sequence becomes the float64 array that np.array(dtype=float) makes
+    distance = gys.at_distance(distances).distance_km
+    if isinstance(distances, np.ndarray):
+        assert distance is distances
+    else:
+        assert distance.dtype == np.float64
+        assert distance.tobytes() == np.array(distances, dtype=float).tobytes()
+
+
+def _range_ends():
+    """(field, value, requirement or None) at each end of each ChannelParams range:
+    the accepted ends themselves (None), then the next float outside, NaN and -inf."""
+    big, tiny = sys.float_info.max, math.nextafter(0.0, 1.0)
+    below_zero = math.nextafter(0.0, -1.0)
+    ends = {
+        "alpha_db_per_km": ([0.0, big], [below_zero, math.inf], "finite and >= 0"),
+        "distance_km": ([0.0, big], [below_zero, math.inf], "finite and >= 0"),
+        "eta_bob": ([tiny, 1.0], [0.0, math.nextafter(1.0, 2.0)], "in (0, 1]"),
+        "y0": ([0.0, math.nextafter(1.0, 0.0)], [below_zero, 1.0], "in [0, 1)"),
+        "e_det": ([0.0, 0.5], [below_zero, math.nextafter(0.5, 1.0)], "in [0, 0.5]"),
+        "f_ec": ([1.0, big], [math.nextafter(1.0, 0.0), math.inf], "finite and >= 1"),
+    }
+    for field, (inside, outside, requirement) in ends.items():
+        yield from ((field, value, None) for value in inside)
+        yield from ((field, value, requirement) for value in outside + [math.nan, -math.inf])
+
+
+@pytest.mark.parametrize("field,value,requirement", list(_range_ends()))
+def test_every_field_agrees_at_its_range_ends(gys, field, value, requirement):
+    # a link of Python floats takes the one combined range test; a numpy float or
+    # an int takes the per-field loop. Both must draw the same line
+    forms = [value, np.float64(value)]
+    if value in (0.0, 1.0, sys.float_info.max):
+        forms.append(int(value))
+    if field == "distance_km":
+        forms += [np.array([value]), [value]]
+    for form in forms:
+        if requirement is None:
+            link = dataclasses.replace(gys, **{field: form})
+            assert np.array_equal(getattr(link, field), np.array(form, dtype=float))
+        else:
+            with pytest.raises(ParameterError, match=f"^{field} must be {re.escape(requirement)}$"):
+                dataclasses.replace(gys, **{field: form})
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from decoyqkd import (
     ChannelParams,
     IntensitySet,
     ObservedTally,
+    ParameterError,
     SweepSpec,
     balance_residual,
     construct_intensity_set,
@@ -288,6 +289,23 @@ class TestDistanceArrays:
         point = rate_at(protocol, mu, gys, empty)
         for values in (point.distance_km, point.mu, point.rate):
             assert values.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "distance", ["10", ["10"], np.array(["10", "20"])], ids=["str", "str-list", "str-array"]
+    )
+    def test_rate_at_does_not_parse_a_text_distance(self, gys, distance):
+        with pytest.raises(ParameterError, match="^distance_km must be finite and >= 0$"):
+            rate_at("bb84-decoy", 0.48, gys, distance)
+
+    @pytest.mark.parametrize("protocol,mu", PROTOCOL_KINDS)
+    def test_real_distances_give_the_float64_results(self, gys, protocol, mu):
+        expected = rate_at(protocol, mu, gys, np.array([0.0, 10.0, 100.0]))
+        for distances in ([0, 10, 100], (0.0, 10, 100.0), np.array([0, 10, 100], np.float32)):
+            point = rate_at(protocol, mu, gys, distances)
+            for name in ("distance_km", "mu", "rate"):
+                values = getattr(point, name)
+                assert values.dtype == np.float64
+                assert values.tobytes() == getattr(expected, name).tobytes()
 
     def test_empty_tally_is_in_range(self):
         empty = np.zeros(0)
