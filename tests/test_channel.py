@@ -247,7 +247,8 @@ class TestHonestTally:
     def test_number_intensity_gives_the_one_element_array_tally(self, gys, distance, y0):
         params = dataclasses.replace(gys, distance_km=distance, y0=y0)
         for intensity in (0.0, 0.01, 0.48):
-            number, array = honest_tally(intensity, params), honest_tally(np.array([intensity]), params)
+            number = honest_tally(intensity, params)
+            array = honest_tally(np.array([intensity]), params)
             for name in ("gain", "qber"):
                 values = np.broadcast_to(getattr(number, name), getattr(array, name).shape)
                 assert values.tobytes() == getattr(array, name).tobytes(), (intensity, name)
