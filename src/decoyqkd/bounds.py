@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import E_VACUUM, ONE, ZERO, ObservedTally, read_only
+from .channel import E_VACUUM, NUMBER, ONE, ZERO, ObservedTally, read_only
 
 
 class IntensityConstraintError(ValueError):
@@ -62,7 +62,7 @@ def _denominators(s: IntensitySet) -> tuple[float, float]:
 class IntensitySet:
     """Signal and decoy mean photon numbers, checked when built.
 
-    Required:
+    Required, of four real numbers (an int, a float or a numpy scalar):
         0 < nu3 < nu2 <= (2/3) mu < nu1 <= (3/4) mu
         nu2 < nu1
         nu1 + nu2 > mu
@@ -89,8 +89,11 @@ class IntensitySet:
     def __post_init__(self):
         mu, nu1, nu2, nu3 = self.mu, self.nu1, self.nu2, self.nu3
         problems = []
-        if not mu > 0:
+        if not (isinstance(mu, NUMBER) and mu > 0):
             raise IntensityConstraintError(f"mu must be > 0, got {mu}")
+        for name, nu in (("nu1", nu1), ("nu2", nu2), ("nu3", nu3)):
+            if not isinstance(nu, NUMBER):
+                raise IntensityConstraintError(f"{name} must be a real number, got {nu!r}")
         if not 0 < nu3:
             problems.append(f"nu3 must be > 0 (nu3={nu3})")
         if not nu3 < nu2:

@@ -12,8 +12,8 @@ every observable then has its shape broadcast with the intensity's.
 
 The other modules share its read-only 0-d float64 operands ``ZERO``,
 ``QUARTER``, ``HALF``, ``ONE``, ``TWO`` and ``TEN``, its ``read_only`` for
-constants, its range test ``within`` (every element in [low, high]) and
-``REAL_KINDS``, the dtype kinds of an array that holds numbers.
+constants, its range test ``within`` (every element in [low, high]), ``NUMBER``
+(the types of a real number) and ``as_real``, the one number rule for inputs.
 """
 
 from __future__ import annotations
@@ -66,24 +66,36 @@ def within(x, low: float, high: float) -> bool:
 
 
 #: The types of a real number; a str, which np.asarray would parse, is not one.
-_NUMBER = (int, float, np.integer, np.floating)
+NUMBER = (int, float, np.integer, np.floating)
 
 #: The numpy dtype kinds of a real array (bool, signed and unsigned int, float).
-REAL_KINDS = "biuf"
-
+_REAL_KINDS = "biuf"
 _FLOAT_MAX = sys.float_info.max
 _FLOAT64 = np.dtype(float)
+
+
+def as_real(value, message: str):
+    """``value`` if a real number or array, a list or tuple of numbers as a float64
+    array; any other value (a str, None, complex or object) raises ParameterError(message)."""
+    if type(value) in (list, tuple):
+        value = np.array(value)  # not np.array(value, dtype=float), which parses a str
+        value = value.astype(float) if value.dtype.kind in _REAL_KINDS else value
+    real_array = isinstance(value, np.ndarray) and value.dtype.kind in _REAL_KINDS
+    if real_array or isinstance(value, NUMBER):
+        return value
+    raise ParameterError(message)
+
 
 #: Each ChannelParams field's accepted types and range (name, types, low, high,
 #: requirement); nextafter opens a closed end. Only the distance takes an array,
 #: or a list or tuple, which becomes one.
 _CHANNEL_RANGES = (
-    ("alpha_db_per_km", _NUMBER, 0.0, _FLOAT_MAX, "finite and >= 0"),
-    ("distance_km", (*_NUMBER, np.ndarray, list, tuple), 0.0, _FLOAT_MAX, "finite and >= 0"),
-    ("eta_bob", _NUMBER, math.nextafter(0.0, 1.0), 1.0, "in (0, 1]"),
-    ("y0", _NUMBER, 0.0, math.nextafter(1.0, 0.0), "in [0, 1)"),
-    ("e_det", _NUMBER, 0.0, 0.5, "in [0, 0.5]"),
-    ("f_ec", _NUMBER, 1.0, _FLOAT_MAX, "finite and >= 1"),
+    ("alpha_db_per_km", NUMBER, 0.0, _FLOAT_MAX, "finite and >= 0"),
+    ("distance_km", (*NUMBER, np.ndarray, list, tuple), 0.0, _FLOAT_MAX, "finite and >= 0"),
+    ("eta_bob", NUMBER, math.nextafter(0.0, 1.0), 1.0, "in (0, 1]"),
+    ("y0", NUMBER, 0.0, math.nextafter(1.0, 0.0), "in [0, 1)"),
+    ("e_det", NUMBER, 0.0, 0.5, "in [0, 0.5]"),
+    ("f_ec", NUMBER, 1.0, _FLOAT_MAX, "finite and >= 1"),
 )
 
 
@@ -134,22 +146,10 @@ class ChannelParams:
                 if within(distance, 0.0, _FLOAT_MAX):
                     return
         for name, types, low, high, requirement in _CHANNEL_RANGES:
-            value = getattr(self, name)
-            if not isinstance(value, types):
-                raise ParameterError(f"{name} must be {requirement}")
-            # only the distance's types admit a list or tuple, which the channel
-            # arithmetic does not take: it becomes a float64 array once, here. Not
-            # by np.array(dtype=float), which would parse a str
-            if type(value) in (list, tuple):
-                value = np.array(value)
-                if value.dtype.kind in REAL_KINDS:
-                    value = value.astype(float)
-                object.__setattr__(self, name, value)
-            # an array of str or of objects is no number, though within parses it
-            if isinstance(value, np.ndarray) and value.dtype.kind not in REAL_KINDS:
-                raise ParameterError(f"{name} must be {requirement}")
-            if not within(value, low, high):
-                raise ParameterError(f"{name} must be {requirement}")
+            rule, value = f"{name} must be {requirement}", getattr(self, name)
+            if not isinstance(value, types) or not within(value := as_real(value, rule), low, high):
+                raise ParameterError(rule)
+            object.__setattr__(self, name, value)
 
     def at_distance(self, distance_km: float) -> "ChannelParams":
         """Same link evaluated at a different fiber length, or at an array of lengths."""
@@ -195,8 +195,10 @@ class ObservedTally:
     def __post_init__(self):
         for name in ("intensity", "gain", "qber"):
             value = getattr(self, name)
-            if type(value) in (list, tuple):  # as in ChannelParams
-                object.__setattr__(self, name, np.array(value, dtype=float))
+            # checked before the reductions, which a str breaks and a complex number passes
+            if type(value) is not float and getattr(value, "dtype", None) is not _FLOAT64:
+                requirement = ">= 0" if name == "intensity" else "in [0, 1]"
+                object.__setattr__(self, name, as_real(value, f"{name} must be {requirement}"))
         # one test of all three ranges, which NaN fails; the tests below run
         # only where it fails, to name the first field out of range
         low, high = np.minimum(self.gain, self.qber), np.maximum(self.gain, self.qber)
@@ -265,8 +267,8 @@ def honest_tally(intensity: float, params: ChannelParams) -> ObservedTally:
     broadcasting. A vacuum class (intensity 0) has QBER 1/2 even at zero
     gain; any other class with zero gain raises ``UndefinedQberError``.
     """
-    if type(intensity) in (list, tuple):  # as in ChannelParams
-        intensity = np.array(intensity, dtype=float)
+    if type(intensity) is not float and getattr(intensity, "dtype", None) is not _FLOAT64:
+        intensity = as_real(intensity, "intensity must be >= 0")  # as in ObservedTally
     if not np.minimum.reduce(intensity, None, initial=0) >= 0:  # NaN fails too
         raise ParameterError("intensity must be >= 0")
     eta = transmittance(params)

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import PhotonBounds
-from .channel import HALF, ONE, QUARTER, TWO, ZERO, ObservedTally, read_only, within
+from .channel import HALF, ONE, QUARTER, TWO, ZERO, ObservedTally, ParameterError
+from .channel import as_real, read_only, within
 
 PROTOCOLS = ("bb84-decoy", "sarg04-no-decoy", "nonorthogonal-decoy")
 
@@ -57,8 +58,11 @@ def binary_entropy(x: float) -> float:
 
     Elementwise; H2(0) = H2(1) = 0 by continuous extension.
     """
-    x = np.asarray(x, dtype=float)
-    if not within(x, 0.0, 1.0):
+    try:  # as_real parses no text, unlike np.asarray(x, dtype=float); its message is unused
+        x, real = np.asarray(as_real(x, ""), dtype=float), True
+    except ParameterError:
+        real = False
+    if not (real and within(x, 0.0, 1.0)):
         raise ValueError(f"binary entropy argument must be in [0, 1], got {x}")
     other = ONE - x
     # at x = 0 or 1 a zero factor meets the finite log of _TINY: both terms
@@ -178,8 +182,11 @@ def optimal_mu_sarg04(eta: float) -> float:
     5e-31 the root lies under 1e-15, where mu^2 = 2 eta e^((1 - eta) mu) is
     sqrt(2 eta) to double precision: 0 at eta = 0, where no signal arrives.
     """
-    eta = np.asarray(eta, dtype=float)
-    if not within(eta, 0.0, 1.0):
+    try:  # as in binary_entropy
+        eta, real = np.asarray(as_real(eta, ""), dtype=float), True
+    except ParameterError:
+        real = False
+    if not (real and within(eta, 0.0, 1.0)):
         raise ValueError(f"transmittance must be in [0, 1], got {eta}")
     two_eta = TWO * eta
     k = HALF * (ONE - eta)

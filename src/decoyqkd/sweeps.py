@@ -20,9 +20,10 @@ import numpy as np
 
 from .bounds import IntensityConstraintError, IntensitySet, estimate_photon_bounds
 from .channel import (
-    REAL_KINDS,
+    NUMBER,
     ZERO,
     ChannelParams,
+    as_real,
     honest_tally,
     read_only,
     synthesize_tallies,
@@ -95,7 +96,7 @@ def construct_intensity_set(mu: float, nu3: float = DEFAULT_NU3) -> IntensitySet
     itself when built; a mu outside (0, MAX_MU] is rejected before any
     arithmetic, whose squares would overflow past about 1e154.
     """
-    if not 0 < mu <= MAX_MU:
+    if not (isinstance(mu, NUMBER) and 0 < mu <= MAX_MU):
         raise IntensityConstraintError(f"mu must be > 0 and <= {MAX_MU:g}, got {mu}")
     nu1 = 0.75 * mu
     nu2 = 0.5 * (-nu1 + math.sqrt(4.0 * mu**2 - 3.0 * nu1**2))
@@ -104,7 +105,7 @@ def construct_intensity_set(mu: float, nu3: float = DEFAULT_NU3) -> IntensitySet
 
 def _grid_points(start_km: float, stop_km: float, step_km: float) -> int:
     """Number of points of the grid start:stop:step, checked before anything is allocated."""
-    if not all(math.isfinite(v) for v in (start_km, stop_km, step_km)):
+    if not all(isinstance(v, NUMBER) and math.isfinite(v) for v in (start_km, stop_km, step_km)):
         raise ValueError(f"start, stop and step must be finite, got {start_km}:{stop_km}:{step_km}")
     if step_km <= 0:
         raise ValueError("step_km must be > 0")
@@ -126,9 +127,9 @@ def _check_request(protocol: str, mu: Union[float, str], nu3: float) -> None:
             raise ValueError(f"mu must be a number or {OPTIMAL_MU!r}, got {mu!r}")
         if protocol in DECOY_RATES:
             raise ValueError("per-distance optimal mu is only defined for sarg04-no-decoy")
-    elif not 0 < mu <= MAX_MU:
+    elif not (isinstance(mu, NUMBER) and 0 < mu <= MAX_MU):
         raise ValueError(f"mu must be > 0 and <= {MAX_MU:g}, got {mu}")
-    if not math.isfinite(nu3):
+    if not (isinstance(nu3, NUMBER) and math.isfinite(nu3)):
         raise ValueError(f"nu3 must be finite, got {nu3}")
 
 
@@ -199,11 +200,9 @@ def rate_at(
     A number is evaluated as a one-element array, with the same arithmetic.
     """
     evaluate = _prepare(protocol, mu, channel, nu3)
-    distances = np.atleast_1d(distance_km)
-    # a real array is evaluated as float64; any other (a str's, say) is not parsed
-    # but reaches the link's check, which rejects it
-    if distances.dtype.kind in REAL_KINDS:
-        distances = distances.astype(float, copy=False)
+    # float64; a str, or an int too large for a float (an object array), is rejected
+    distances = as_real(np.atleast_1d(distance_km), "distance_km must be finite and >= 0")
+    distances = distances.astype(float, copy=False)
     mu, rate = evaluate(distances)
     mus = np.full(distances.shape, mu)
     if np.ndim(distance_km) == 0:

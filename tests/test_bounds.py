@@ -49,6 +49,10 @@ class TestValidateIntensities:
             (dict(mu=1e-120, nu1=7.5e-121, nu2=3.853453162872775e-121, nu3=1e-122), "denominators"),
             # nu3^2, the e2U scale, underflows below the normal floats
             (dict(mu=0.30, nu1=0.225, nu2=0.1156035949, nu3=1e-160), "nu3=1e-160 is too small"),
+            # a decoy that is not a real number is named before any constraint
+            (dict(mu=0.30, nu1="0.225", nu2=0.1156035949, nu3=0.05), "nu1 must be a real number"),
+            (dict(mu=0.30, nu1=0.225, nu2=complex(0.1156035949), nu3=0.05), "nu2 must be a real number"),
+            (dict(mu=0.30, nu1=0.225, nu2=0.1156035949, nu3=None), "nu3 must be a real number"),
         ],
     )
     def test_each_inequality_rejected(self, kwargs, fragment):

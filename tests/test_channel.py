@@ -9,20 +9,28 @@ import numpy as np
 import pytest
 
 from decoyqkd import (
+    GYS,
     ChannelParams,
+    IntensityConstraintError,
     IntensitySet,
     ObservedTally,
     ParameterError,
+    SweepSpec,
     UndefinedQberError,
+    binary_entropy,
+    construct_intensity_set,
     estimate_photon_bounds,
+    exact_ceiling_km,
     exact_stats,
     honest_tally,
     max_secure_distance,
+    optimal_mu_sarg04,
     poisson_weight,
     rate_at,
     synthesize_tallies,
     transmittance,
 )
+from not_numbers import NOT_NUMBERS, not_numbers
 
 
 class TestPoissonWeight:
@@ -117,13 +125,15 @@ def test_sequence_distance_gives_the_array_results(gys, distances):
 
 @pytest.mark.parametrize(
     "wrap",
-    [lambda v: [v, v], lambda v: (v, v), lambda v: np.array([v, v]), np.array, str],
-    ids=["list", "tuple", "array", "0d-array", "str"],
+    [lambda v: [v, v], lambda v: (v, v), lambda v: np.array([v, v]), np.array]
+    + list(NOT_NUMBERS.values()),
+    ids=["list", "tuple", "array", "0d-array", *NOT_NUMBERS],
 )
 @pytest.mark.parametrize("field", ["alpha_db_per_km", "eta_bob", "y0", "e_det", "f_ec"])
 def test_a_link_field_that_is_not_a_number_is_rejected(gys, field, wrap):
-    # a link is one point, and the distance is its only axis; each holds the
-    # GYS value, which the range test alone would pass (np.asarray parses a str)
+    # a link is one point, and the distance is its only axis; each but NaN and inf
+    # holds the GYS value, which the range test alone would pass (np.asarray
+    # parses a str)
     with pytest.raises(ParameterError, match=f"^{field} must be "):
         dataclasses.replace(gys, **{field: wrap(getattr(gys, field))})
 
@@ -343,7 +353,8 @@ def test_channel_params_invariants(field, value):
         pytest.param(np.array(["10", "20"]), id="str-array"),
         pytest.param(np.array([10.0, 20.0], dtype=object), id="object-array"),
         pytest.param(np.array([10.0 + 0j]), id="complex-array"),
-    ],
+    ]
+    + not_numbers(10.0, "str", "str-list", "str-array", "object-array", "complex-array", "nan"),
 )
 def test_at_distance_rejects_a_bad_distance(gys, distance):
     with pytest.raises(ParameterError, match=r"^distance_km must be finite and >= 0$"):
@@ -428,6 +439,17 @@ def test_every_field_agrees_at_its_range_ends(gys, field, value, requirement):
         ("gain", np.array([0, 2]), r"gain must be in \[0, 1\]"),
         ("intensity", -1, "intensity must be >= 0"),
         ("qber", np.array(1.5), r"qber must be in \[0, 1\]"),
+    ]
+    # the catalogue, made from each field's valid value; an infinite intensity is >= 0
+    + [
+        pytest.param(field, make(valid), message, id=f"{field}-{name}")
+        for field, valid, message in [
+            ("intensity", 0.3, "intensity must be >= 0"),
+            ("gain", 1e-3, r"gain must be in \[0, 1\]"),
+            ("qber", 0.02, r"qber must be in \[0, 1\]"),
+        ]
+        for name, make in NOT_NUMBERS.items()
+        if (field, name) not in {("intensity", "nan"), ("intensity", "inf"), ("qber", "nan")}
     ],
 )
 def test_observed_tally_range_checks(field, value, message):
@@ -443,3 +465,115 @@ def test_observed_tally_accepts_negative_zero(field):
     kwargs = dict(intensity=0.3, gain=1e-3, qber=0.02)
     kwargs[field] = -0.0
     assert math.copysign(1.0, getattr(ObservedTally(**kwargs), field)) == -1.0
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1, True, [0, 1], (True, 0.25), np.array([0, 1])],
+    ids=["int", "bool", "list", "tuple", "int-array"],
+)
+def test_real_tally_inputs_keep_their_values(gys, value):
+    # as for the distance: a list or tuple becomes the float64 array that
+    # np.array(dtype=float) makes, a number or an array is kept as it is, and
+    # each gives the bits of its float64 form
+    as_float, link = np.array(value, dtype=float), gys.at_distance(10.0)
+    tally = ObservedTally(value, value, value)
+    honest, expected = honest_tally(value, link), honest_tally(as_float, link)
+    for field in (tally.intensity, tally.gain, tally.qber, honest.intensity):
+        if isinstance(value, (list, tuple)):
+            assert type(field) is np.ndarray and field.dtype == np.float64
+        else:
+            assert field is value
+        assert np.asarray(field, dtype=float).tobytes() == as_float.tobytes()
+    for name in ("gain", "qber"):
+        bits = [np.asarray(getattr(tally, name)).tobytes() for tally in (honest, expected)]
+        assert bits[0] == bits[1]
+
+
+def _mu_message(name, mu):
+    # a str mu is taken for a misspelt "optimal"
+    if name == "str":
+        return f"mu must be a number or 'optimal', got {mu!r}"
+    return f"mu must be > 0 and <= 100, got {mu}"
+
+
+def _intensity_set_message(name, mu):
+    # an infinite mu is > 0: the constraints it breaks are named instead
+    if name == "inf":
+        return (
+            f"2mu/3 < nu1 violated (nu1={S_48.nu1}, 2mu/3=inf); "
+            f"nu1 + nu2 > mu violated (nu1+nu2={S_48.nu1 + S_48.nu2}, mu=inf)"
+        )
+    return f"mu must be > 0, got {mu}"
+
+
+#: Each public numeric input without a catalogue test of its own, by name: the
+#: call of one value, a valid value, the error and the exact message for a
+#: catalogue case, or None where that case is a valid value.
+ENTRY_POINTS = {
+    "honest_tally": (
+        lambda v: honest_tally(v, GYS.at_distance(10.0)),
+        0.3,
+        ParameterError,
+        lambda name, v: None if name == "inf" else "intensity must be >= 0",
+    ),
+    "SweepSpec": (
+        lambda v: SweepSpec("bb84-decoy", v, 160.0, 5.0, 0.48, GYS),
+        0.0,
+        ValueError,
+        lambda name, v: f"start, stop and step must be finite, got {v}:160.0:5.0",
+    ),
+    "max_secure_distance": (
+        lambda v: max_secure_distance("bb84-decoy", v, GYS),
+        0.48,
+        ValueError,
+        _mu_message,
+    ),
+    "exact_ceiling_km": (
+        lambda v: exact_ceiling_km("bb84-decoy", v, GYS),
+        0.48,
+        ValueError,
+        _mu_message,
+    ),
+    "construct_intensity_set": (
+        construct_intensity_set,
+        0.48,
+        IntensityConstraintError,
+        lambda name, v: f"mu must be > 0 and <= 100, got {v}",
+    ),
+    "IntensitySet": (
+        lambda v: IntensitySet(v, S_48.nu1, S_48.nu2, S_48.nu3),
+        0.48,
+        IntensityConstraintError,
+        _intensity_set_message,
+    ),
+    "binary_entropy": (
+        binary_entropy,
+        0.5,
+        ValueError,
+        lambda name, v: f"binary entropy argument must be in [0, 1], got {v}",
+    ),
+    "optimal_mu_sarg04": (
+        optimal_mu_sarg04,
+        1e-3,
+        ValueError,
+        lambda name, v: f"transmittance must be in [0, 1], got {v}",
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_public_input_rejects_the_catalogue(entry, bad):
+    # text is not parsed and a complex number not ordered: each case raises the
+    # input's own error, not numpy's TypeError, with the message a number
+    # out of range gets
+    call, valid, error, message = ENTRY_POINTS[entry]
+    value = NOT_NUMBERS[bad](valid)
+    call(valid)
+    if message(bad, value) is None:
+        call(value)
+        return
+    with pytest.raises(error, match=f"^{re.escape(message(bad, value))}$") as raised:
+        call(value)
+    assert type(raised.value) is error

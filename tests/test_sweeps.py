@@ -33,6 +33,7 @@ from decoyqkd.sweeps import (
     SCAN_LIMIT_KM,
     ScanLimitError,
 )
+from not_numbers import not_numbers
 
 #: One request of each protocol kind: the two decoy protocols, and SARG04
 #: without decoys at a fixed and at the per-distance optimal intensity.
@@ -291,7 +292,15 @@ class TestDistanceArrays:
             assert values.shape == (0,)
 
     @pytest.mark.parametrize(
-        "distance", ["10", ["10"], np.array(["10", "20"])], ids=["str", "str-list", "str-array"]
+        "distance",
+        [
+            pytest.param("10", id="str"),
+            pytest.param(["10"], id="str-list"),
+            pytest.param(np.array(["10", "20"]), id="str-array"),
+            # numpy holds it in an object array, which is not converted either
+            pytest.param(10**400, id="int-beyond-float"),
+        ]
+        + not_numbers(10.0, "str", "str-list", "str-array"),
     )
     def test_rate_at_does_not_parse_a_text_distance(self, gys, distance):
         with pytest.raises(ParameterError, match="^distance_km must be finite and >= 0$"):
