@@ -9,6 +9,11 @@ short distance where multiphoton corrections are small. The last column
 shows ``bounds.clamps``, the clamps that fired at each distance: at the
 default nu3 = 0.01, e2U is clamped to 1 at every distance.
 
+It ends with what the looseness costs: each decoy protocol's cutoff with
+the estimated bounds next to its exact-statistics ceiling, the cutoff of
+the same rate with the exact statistics in their place. Both come from
+one cutoff search, on the two bounds sources of the rate.
+
 Run with: python demos/photon_bounds.py
 """
 
@@ -18,7 +23,9 @@ from decoyqkd import (
     GYS,
     construct_intensity_set,
     estimate_photon_bounds,
+    exact_ceiling_km,
     exact_stats,
+    max_secure_distance,
     synthesize_tallies,
 )
 
@@ -51,3 +58,11 @@ for d in (0.0, 60.0, 120.0):
     bounds = estimate_photon_bounds(synthesize_tallies(s, params), s)
     exact = exact_stats(1, MU, params).detection_yield
     print(f"  d={d:5.0f} km: {1.0 - bounds.y1_lower / exact:.2%}")
+
+print()
+print("Cutoff with the estimated bounds vs the exact-statistics ceiling:")
+for protocol, mu in [("nonorthogonal-decoy", 0.30), ("nonorthogonal-decoy", 0.48),
+                     ("bb84-decoy", 0.48)]:
+    cutoff = max_secure_distance(protocol, mu, GYS)
+    ceiling = exact_ceiling_km(protocol, mu, GYS)
+    print(f"  {protocol:19} mu={mu:.2f}: {cutoff:5.1f} km estimated, {ceiling:5.1f} km ceiling")

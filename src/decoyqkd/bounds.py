@@ -62,7 +62,8 @@ def _denominators(s: IntensitySet) -> tuple[float, float]:
 class IntensitySet:
     """Signal and decoy mean photon numbers, checked when built.
 
-    Required, of four real numbers (an int, a float or a numpy scalar):
+    Required, of four real numbers (an int within the float range, a float or a
+    numpy scalar):
         0 < nu3 < nu2 <= (2/3) mu < nu1 <= (3/4) mu
         nu2 < nu1
         nu1 + nu2 > mu
@@ -89,10 +90,13 @@ class IntensitySet:
     def __post_init__(self):
         mu, nu1, nu2, nu3 = self.mu, self.nu1, self.nu2, self.nu3
         problems = []
-        if not (isinstance(mu, NUMBER) and mu > 0):
+        # an int beyond the float range is no real number here: the float
+        # arithmetic of the checks below would raise OverflowError on it
+        top = sys.float_info.max
+        if not (isinstance(mu, NUMBER) and mu > 0) or isinstance(mu, int) and mu > top:
             raise IntensityConstraintError(f"mu must be > 0, got {mu}")
         for name, nu in (("nu1", nu1), ("nu2", nu2), ("nu3", nu3)):
-            if not isinstance(nu, NUMBER):
+            if not isinstance(nu, NUMBER) or isinstance(nu, int) and not -top <= nu <= top:
                 raise IntensityConstraintError(f"{name} must be a real number, got {nu!r}")
         if not 0 < nu3:
             problems.append(f"nu3 must be > 0 (nu3={nu3})")

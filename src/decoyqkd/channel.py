@@ -76,12 +76,14 @@ _FLOAT64 = np.dtype(float)
 
 def as_real(value, message: str):
     """``value`` if a real number or array, a list or tuple of numbers as a float64
-    array; any other value (a str, None, complex or object) raises ParameterError(message)."""
+    array; any other value (a str, None, complex, object, or an int beyond the
+    float range, which no float holds) raises ParameterError(message)."""
     if type(value) in (list, tuple):
         value = np.array(value)  # not np.array(value, dtype=float), which parses a str
         value = value.astype(float) if value.dtype.kind in _REAL_KINDS else value
     real_array = isinstance(value, np.ndarray) and value.dtype.kind in _REAL_KINDS
-    if real_array or isinstance(value, NUMBER):
+    big_int = isinstance(value, int) and not -_FLOAT_MAX <= value <= _FLOAT_MAX
+    if real_array or isinstance(value, NUMBER) and not big_int:
         return value
     raise ParameterError(message)
 

@@ -51,6 +51,23 @@ class KeyRatePoint:
 #: The smallest subnormal float: np.maximum(x, _TINY) is x for every x in
 #: (0, 1], and lifts 0 to a number whose log is finite.
 _TINY = read_only(np.array(5e-324))
+_FLOAT64 = np.dtype(float)
+
+
+def _unit_interval(x, message: str) -> np.ndarray:
+    """``x`` as float64 if every element is a real number in [0, 1], else
+    ValueError(message.format(x)), with x the float64 form where it is real.
+
+    A float64 array, as the rate chain passes, goes straight to the range test.
+    """
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
+        try:  # as_real parses no text, unlike np.asarray(x, dtype=float); its message is unused
+            x = np.asarray(as_real(x, ""), dtype=float)
+        except ParameterError:
+            raise ValueError(message.format(x)) from None
+    if not within(x, 0.0, 1.0):
+        raise ValueError(message.format(x))
+    return x
 
 
 def binary_entropy(x: float) -> float:
@@ -58,12 +75,7 @@ def binary_entropy(x: float) -> float:
 
     Elementwise; H2(0) = H2(1) = 0 by continuous extension.
     """
-    try:  # as_real parses no text, unlike np.asarray(x, dtype=float); its message is unused
-        x, real = np.asarray(as_real(x, ""), dtype=float), True
-    except ParameterError:
-        real = False
-    if not (real and within(x, 0.0, 1.0)):
-        raise ValueError(f"binary entropy argument must be in [0, 1], got {x}")
+    x = _unit_interval(x, "binary entropy argument must be in [0, 1], got {}")
     other = ONE - x
     # at x = 0 or 1 a zero factor meets the finite log of _TINY: both terms
     # are signed zeros and H2 is +0.0; inside (0, 1) the logs take x and 1 - x
@@ -182,12 +194,7 @@ def optimal_mu_sarg04(eta: float) -> float:
     5e-31 the root lies under 1e-15, where mu^2 = 2 eta e^((1 - eta) mu) is
     sqrt(2 eta) to double precision: 0 at eta = 0, where no signal arrives.
     """
-    try:  # as in binary_entropy
-        eta, real = np.asarray(as_real(eta, ""), dtype=float), True
-    except ParameterError:
-        real = False
-    if not (real and within(eta, 0.0, 1.0)):
-        raise ValueError(f"transmittance must be in [0, 1], got {eta}")
+    eta = _unit_interval(eta, "transmittance must be in [0, 1], got {}")
     two_eta = TWO * eta
     k = HALF * (ONE - eta)
     mu = start = root = np.sqrt(two_eta)

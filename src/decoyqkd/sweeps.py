@@ -1,12 +1,19 @@
 """Rate-vs-distance sweeps, maximal secure distance, and intensity construction.
 
+Every rate is evaluated by one path, ``_prepare``: it checks a request once
+and returns a function from a distance array to rates. A decoy protocol's
+rate takes the signal tally and photon bounds from a bounds source. The
+estimated source, the default, builds the request's intensity set and
+estimates the bounds from its five tallies; the exact source, the
+exact-statistics ceiling's, takes the exact n = 0, 1, 2 statistics and
+builds no set.
+
 ``rate_at`` evaluates a rate request, elementwise in distance, so a sweep
-is one evaluation over its grid. ``max_secure_distance`` checks its request
-and builds its intensity set once, then evaluates it two times: the coarse
-scan up to FIRST_SCAN_KM and the lattice of the last secure step. The scan
-takes a third, for the rest of its grid, only while the rate is still
-positive at FIRST_SCAN_KM. The exact-statistics ceiling's search is the
-same, on rates with the exact statistics in place of the decoy bounds.
+is one evaluation over its grid. ``max_secure_distance`` and
+``exact_ceiling_km`` evaluate their request two times: the coarse scan up
+to FIRST_SCAN_KM and the lattice of the last secure step. The scan takes a
+third, for the rest of its grid, only while the rate is still positive at
+FIRST_SCAN_KM.
 """
 
 from __future__ import annotations
@@ -103,9 +110,18 @@ def construct_intensity_set(mu: float, nu3: float = DEFAULT_NU3) -> IntensitySet
     return IntensitySet(mu=mu, nu1=nu1, nu2=nu2, nu3=nu3)
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a real number of finite float value; an int beyond
+    the float range has none (math.isfinite raises OverflowError on it)."""
+    try:
+        return isinstance(value, NUMBER) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _grid_points(start_km: float, stop_km: float, step_km: float) -> int:
     """Number of points of the grid start:stop:step, checked before anything is allocated."""
-    if not all(isinstance(v, NUMBER) and math.isfinite(v) for v in (start_km, stop_km, step_km)):
+    if not all(map(_finite, (start_km, stop_km, step_km))):
         raise ValueError(f"start, stop and step must be finite, got {start_km}:{stop_km}:{step_km}")
     if step_km <= 0:
         raise ValueError("step_km must be > 0")
@@ -129,7 +145,7 @@ def _check_request(protocol: str, mu: Union[float, str], nu3: float) -> None:
             raise ValueError("per-distance optimal mu is only defined for sarg04-no-decoy")
     elif not (isinstance(mu, NUMBER) and 0 < mu <= MAX_MU):
         raise ValueError(f"mu must be > 0 and <= {MAX_MU:g}, got {mu}")
-    if not (isinstance(nu3, NUMBER) and math.isfinite(nu3)):
+    if not _finite(nu3):
         raise ValueError(f"nu3 must be finite, got {nu3}")
 
 
@@ -155,21 +171,40 @@ class SweepSpec:
         _grid_points(self.start_km, self.stop_km, self.step_km)
 
 
+def _estimated(mu: float, nu3: float) -> Callable[[ChannelParams], tuple]:
+    """The decoy bounds source: builds the intensity set once, then maps a link
+    to its signal tally and the bounds estimated from its five tallies."""
+    intensities = construct_intensity_set(mu, nu3)
+
+    def measure(params):
+        tallies = synthesize_tallies(intensities, params)
+        return tallies.row(-1), estimate_photon_bounds(tallies, intensities)
+
+    return measure
+
+
+def _exact(mu: float, nu3: float) -> Callable[[ChannelParams], tuple]:
+    """The exact-statistics source: a link's signal tally and the exact n = 0,
+    1, 2 statistics in place of the bounds; it builds no intensity set."""
+    return lambda params: (honest_tally(mu, params), exact_bounds(mu, params))
+
+
 def _prepare(
-    protocol: str, mu: Union[float, str], channel: ChannelParams, nu3: float
+    protocol: str, mu: Union[float, str], channel: ChannelParams, nu3: float, source=_estimated
 ) -> Callable[[np.ndarray], tuple]:
     """The checked request as a function from a distance array to (mu, rates),
-    with mu the intensity, per distance for ``"optimal"``."""
+    with mu the intensity, per distance for ``"optimal"``.
+
+    The one evaluation path of every rate. A decoy protocol's formula takes
+    the signal tally and photon bounds of ``source(mu, nu3)``, a function of
+    the link: ``_estimated``, the decoy bounds, or ``_exact``, the ceiling's."""
     _check_request(protocol, mu, nu3)
     if protocol in DECOY_RATES:
-        intensities = construct_intensity_set(mu, nu3)
-        formula = DECOY_RATES[protocol]
+        measure, formula = source(mu, nu3), DECOY_RATES[protocol]
 
         def evaluate(distances):
             params = channel.at_distance(distances)
-            tallies = synthesize_tallies(intensities, params)
-            bounds = estimate_photon_bounds(tallies, intensities)
-            return mu, formula(tallies.row(-1), bounds, params.f_ec)
+            return mu, formula(*measure(params), params.f_ec)
 
         return evaluate
 
@@ -246,6 +281,11 @@ def _cutoff_km(protocol: str, rates: Callable[[np.ndarray], np.ndarray]) -> floa
     return float(0.5 * (lattice[end - 1] + lattice[end]))
 
 
+def _search(protocol: str, evaluate: Callable[[np.ndarray], tuple]) -> float:
+    """The cutoff search over the rates of a prepared request (see ``_prepare``)."""
+    return _cutoff_km(protocol, lambda distances: evaluate(distances)[1])
+
+
 def max_secure_distance(
     protocol: str,
     mu: Union[float, str],
@@ -255,20 +295,17 @@ def max_secure_distance(
     """End of the first secure run from zero distance, to RESOLUTION_KM: the
     midpoint of the lattice step where the rate first stops being strictly
     positive (see ``_cutoff_km``); a later secure run does not move it."""
-    evaluate = _prepare(protocol, mu, channel, nu3)
-    return _cutoff_km(protocol, lambda distances: evaluate(distances)[1])
+    return _search(protocol, _prepare(protocol, mu, channel, nu3))
 
 
 def exact_ceiling_km(protocol: str, mu: float, channel: ChannelParams) -> float:
     """Cutoff of a decoy protocol's rate with ``exact_bounds`` in place of the
-    decoy bounds: no conservative cutoff lies beyond it, up to RESOLUTION_KM."""
+    decoy bounds: no conservative cutoff lies beyond it, up to RESOLUTION_KM.
+
+    The search of ``max_secure_distance`` on the exact-statistics source. It
+    builds no intensity set, so it takes any mu in (0, MAX_MU], also one for
+    which ``construct_intensity_set`` raises (mu = 0.02, say)."""
     _check_request(protocol, mu, DEFAULT_NU3)
     if protocol not in DECOY_RATES:
         raise ValueError(f"the exact-statistics ceiling needs a decoy protocol, got {protocol!r}")
-
-    def rates(distances):
-        params = channel.at_distance(distances)
-        signal = honest_tally(mu, params)
-        return DECOY_RATES[protocol](signal, exact_bounds(mu, params), params.f_ec)
-
-    return _cutoff_km(protocol, rates)
+    return _search(protocol, _prepare(protocol, mu, channel, DEFAULT_NU3, _exact))

@@ -19,6 +19,8 @@ NOT_NUMBERS = {
     "None": lambda valid: None,
     "nan": lambda valid: math.nan,
     "inf": lambda valid: math.inf,
+    # no float holds it: converting it raises OverflowError, not the input's error
+    "int-beyond-float": lambda valid: 10**400,
 }
 
 

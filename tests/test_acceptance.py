@@ -24,6 +24,7 @@ from decoyqkd import (
     GYS,
     IntensityConstraintError,
     IntensitySet,
+    NeverSecureError,
     construct_intensity_set,
     estimate_photon_bounds,
     exact_bounds,
@@ -38,9 +39,17 @@ from decoyqkd import (
     synthesize_tallies,
     verify_bound_inequalities,
 )
+from decoyqkd.sweeps import MAX_MU
 
 MU_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
 GYS_GRID = GYS.at_distance(np.arange(0.0, 151.0, 10.0))  # 0-150 km in 10 km steps
+
+#: The signal intensities of the exact-statistics scan: a lattice of step
+#: MU_STEP over (0, 3], then a geometric lattice from 3 up to MAX_MU.
+MU_STEP = 0.01
+MU_LATTICE = (MU_STEP * np.arange(1, 301)).tolist()
+HIGH_MU = np.geomspace(3.0, MAX_MU, 60).tolist()
+DECOY_PROTOCOLS = ("nonorthogonal-decoy", "bb84-decoy")
 
 
 def check(name, ok, detail):
@@ -116,6 +125,74 @@ class TestCriterion1MaximalDistances:
     def test_runtime_budget(self, fig1_distances):
         elapsed = fig1_distances["elapsed_s"]
         check("criterion 1: runtime", elapsed < 10, f"{elapsed:.2f} s vs < 10 s")
+
+
+def ceiling_or_none(protocol, mu):
+    """The exact-statistics ceiling at GYS, or None where no distance is secure."""
+    try:
+        return exact_ceiling_km(protocol, mu, GYS)
+    except NeverSecureError:
+        return None
+
+
+@pytest.fixture(scope="module")
+def mu_scan():
+    """Each decoy protocol's ceiling at every mu of MU_LATTICE."""
+    return {p: [ceiling_or_none(p, mu) for mu in MU_LATTICE] for p in DECOY_PROTOCOLS}
+
+
+def best_ceiling(ceilings):
+    """The largest ceiling of a scan, and the first and last lattice mu where it
+    lies: ceilings are midpoints of 5/64 km lattice steps, so neighbours tie."""
+    best = max(c for c in ceilings if c is not None)
+    where = [mu for mu, c in zip(MU_LATTICE, ceilings) if c == best]
+    return best, f"mu = {where[0]:.2f}-{where[-1]:.2f}"
+
+
+class TestCriterion1OverEveryIntensity:
+    """The paper's headline is a best case, so the check that it fails must hold
+    at every signal intensity, not at mu = 0.30 and 0.48 only: no mu reaches
+    220 km even with exact photon statistics. Each mu is a lattice point, so
+    none is asserted finer than MU_STEP."""
+
+    def test_no_intensity_reaches_220_km(self, mu_scan):
+        best, where = best_ceiling(mu_scan["nonorthogonal-decoy"])
+        check(
+            "criterion 1: no mu in (0, 3] takes the exact-statistics ceiling to 220 km",
+            best <= 170,
+            f"best nonorthogonal ceiling {best:.1f} km at {where} (lattice step "
+            f"{MU_STEP}) vs <= 170 km, far below the paper's 220 km",
+        )
+
+    def test_gain_over_bb84_between_best_ceilings(self, mu_scan):
+        nonorth, nonorth_where = best_ceiling(mu_scan["nonorthogonal-decoy"])
+        bb84, bb84_where = best_ceiling(mu_scan["bb84-decoy"])
+        check(
+            "criterion 1: the best ceilings leave far less than the paper's +78 km over bb84",
+            0 < nonorth - bb84 <= 30,
+            f"nonorthogonal {nonorth:.1f} km ({nonorth_where}) - bb84 {bb84:.1f} km "
+            f"({bb84_where}) = {nonorth - bb84:.1f} km vs in (0, 30] km",
+        )
+
+    @pytest.mark.parametrize("protocol", DECOY_PROTOCOLS)
+    def test_secure_intensities_are_one_run_below_3(self, mu_scan, protocol):
+        secure = [c is not None for c in mu_scan[protocol]]
+        onset = secure.index(False)  # ValueError if every mu is secure
+        check(
+            f"criterion 1: {protocol} is secure below one mu in (0, 3] and never from it on",
+            onset > 0 and not any(secure[onset:]),
+            f"a ceiling at mu = {MU_LATTICE[0]:.2f}-{MU_LATTICE[onset - 1]:.2f}, never secure "
+            f"from mu = {MU_LATTICE[onset]:.2f} to 3 (lattice step {MU_STEP})",
+        )
+
+    @pytest.mark.parametrize("protocol", DECOY_PROTOCOLS)
+    def test_never_secure_from_3_to_max_mu(self, protocol):
+        never = sum(ceiling_or_none(protocol, mu) is None for mu in HIGH_MU)
+        check(
+            f"criterion 1: {protocol} never secure on [3, {MAX_MU:g}]",
+            never == len(HIGH_MU),
+            f"{never} of {len(HIGH_MU)} geometric lattice points never secure",
+        )
 
 
 class TestCriterion2CurveDominance:

@@ -53,6 +53,9 @@ class TestValidateIntensities:
             (dict(mu=0.30, nu1="0.225", nu2=0.1156035949, nu3=0.05), "nu1 must be a real number"),
             (dict(mu=0.30, nu1=0.225, nu2=complex(0.1156035949), nu3=0.05), "nu2 must be a real number"),
             (dict(mu=0.30, nu1=0.225, nu2=0.1156035949, nu3=None), "nu3 must be a real number"),
+            # no float holds an int beyond the float range, and the checks are float arithmetic
+            (dict(mu=0.30, nu1=10**400, nu2=0.1156035949, nu3=0.05), "nu1 must be a real number"),
+            (dict(mu=0.30, nu1=0.225, nu2=0.1156035949, nu3=-10**400), "nu3 must be a real number"),
         ],
     )
     def test_each_inequality_rejected(self, kwargs, fragment):

@@ -19,9 +19,13 @@ from decoyqkd import (
     balance_residual,
     construct_intensity_set,
     estimate_photon_bounds,
+    exact_bounds,
     exact_ceiling_km,
+    honest_tally,
     max_secure_distance,
     rate_at,
+    rate_bb84_decoy,
+    rate_nonorthogonal_decoy,
     sweep,
     synthesize_tallies,
 )
@@ -138,7 +142,9 @@ class TestSweep:
         with pytest.raises(ValueError):
             max_secure_distance("bb84-decoy", "optimal", gys)
 
-    @pytest.mark.parametrize("nu3", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "nu3", [math.nan, math.inf, -math.inf, pytest.param(-10**400, id="int-beyond-float")]
+    )
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_non_finite_nu3_rejected_for_every_protocol(self, gys, protocol, nu3):
         # also for sarg04-no-decoy, which takes no decoys
@@ -300,7 +306,7 @@ class TestDistanceArrays:
             # numpy holds it in an object array, which is not converted either
             pytest.param(10**400, id="int-beyond-float"),
         ]
-        + not_numbers(10.0, "str", "str-list", "str-array"),
+        + not_numbers(10.0, "str", "str-list", "str-array", "int-beyond-float"),
     )
     def test_rate_at_does_not_parse_a_text_distance(self, gys, distance):
         with pytest.raises(ParameterError, match="^distance_km must be finite and >= 0$"):
@@ -488,6 +494,44 @@ class TestCallCounts:
         sets = self.count(monkeypatch, IntensitySet, "__post_init__")
         sweep(SweepSpec(protocol, 0.0, 250.0, 1.0, 0.48, gys))
         assert len(sets) == 1
+
+
+class TestBoundsSources:
+    """Every decoy rate is one evaluation path with a bounds source: the estimate
+    from the five tallies of an intensity set, or the exact statistics of the
+    exact-statistics ceiling."""
+
+    def test_both_sources_measure_the_same_signal(self, gys):
+        # the estimate's signal is row -1 of the five-class tally, the ceiling's
+        # is honest_tally(mu): the same bits, so the ceiling bounds the estimate
+        # on one signal
+        link = gys.at_distance(np.arange(300.0))
+        for mu in np.random.default_rng(20261021).uniform(0.1, 1.0, 200).tolist():
+            estimated = synthesize_tallies(construct_intensity_set(mu), link).row(-1)
+            exact = honest_tally(mu, link)
+            assert estimated.gain.tobytes() == exact.gain.tobytes(), mu
+            assert estimated.qber.tobytes() == exact.qber.tobytes(), mu
+
+    def test_ceiling_builds_no_intensity_set(self, gys, monkeypatch):
+        # mu = 0.02 has no valid set at the default nu3 (0.01 is not below nu2)
+        with pytest.raises(IntensityConstraintError):
+            construct_intensity_set(0.02)
+        evaluations = TestCallCounts.count(monkeypatch, ChannelParams, "at_distance")
+        sets = TestCallCounts.count(monkeypatch, IntensitySet, "__post_init__")
+        assert round(exact_ceiling_km("nonorthogonal-decoy", 0.02, gys), 2) == 114.65
+        assert len(evaluations) == 2
+        assert sets == []
+
+    @pytest.mark.parametrize("protocol", ["bb84-decoy", "nonorthogonal-decoy"])
+    def test_exact_source_is_the_formula_on_exact_statistics(self, gys, protocol):
+        distances = np.arange(0.0, 200.0, 5.0)
+        link = gys.at_distance(distances)
+        formula = {"bb84-decoy": rate_bb84_decoy, "nonorthogonal-decoy": rate_nonorthogonal_decoy}
+        expected = formula[protocol](honest_tally(0.48, link), exact_bounds(0.48, link), gys.f_ec)
+        exact = decoyqkd.sweeps._exact
+        mu, rates = decoyqkd.sweeps._prepare(protocol, 0.48, gys, 0.01, exact)(distances)
+        assert mu == 0.48
+        assert rates.tobytes() == expected.tobytes()
 
 
 def full_grid_cutoff_km(protocol, rates):
