@@ -9,8 +9,13 @@ bounds are conservative for any channel whose per-photon-number yields and
 error rates lie in [0, 1]: Y1L <= Y1, e1U >= e1, Y2L <= Y2, e2U >= e2. An
 ``IntensitySet`` meets the intensity constraints the bounds rest on: it
 checks them when it is built, and on first use it builds, in one pass from
-Python floats, every constant the estimator takes from it: the class
-intensities, the coefficient matrix and the other per-set factors.
+Python floats, one read-only float64 array of every number the estimator
+takes from it: the class intensities, the coefficient matrix and the other
+per-set factors. The estimator's operands are views of that array, shaped
+once for each distance rank the set is evaluated at and kept with the set.
+The intensity match is an identity test for the set's own tally, whose
+class column ``synthesize_tallies`` passes through, and a comparison by
+value for any other tally.
 
 The tallies are positional: one ``ObservedTally`` with the classes vacuum,
 nu3, nu2, nu1, mu on axis 0, which one (2, 5) coefficient matrix maps to
@@ -76,10 +81,11 @@ class IntensitySet:
 
     Raises IntensityConstraintError naming each violated constraint.
 
-    On first use, one pass builds every constant the estimator takes from the
-    set: the class intensities (``classes``), the coefficient matrix
-    (``coefficients``) and the other per-set factors. They are kept with the
-    set, read-only, so each read returns the same array.
+    On first use, one pass builds one read-only float64 array of every number
+    the estimator takes from the set: the class intensities (``classes``), the
+    coefficient matrix (``coefficients``) and the other per-set factors. The
+    estimator's operands are views of it, built once per distance rank and
+    kept with the set, so each read returns the same read-only array.
     """
 
     mu: float
@@ -137,52 +143,63 @@ class IntensitySet:
             raise IntensityConstraintError("; ".join(problems))
 
     @cached_property
-    def _constants(self) -> tuple:
-        """Everything the estimator takes from the set, built in one pass from
-        Python floats: the class column as an array and as the list the intensity
-        match compares, the coefficient matrix, e^nu3, e^-mu, (nu3, nu3^2) and
-        (mu, mu^2); each array read-only."""
+    def _operands(self) -> _ByRank:
+        """The estimator's operands by distance rank (see ``_ByRank``), as views of
+        one read-only float64 array that holds every number it takes from the set,
+        built in one pass from Python floats."""
         mu, nu1, nu2, nu3 = self.mu, self.nu1, self.nu2, self.nu3
-        intensities = [0.0, float(nu3), float(nu2), float(nu1), float(mu)]
         signal_1, signal_2 = nu2**2 - nu3**2, 2.0 * (nu1 - nu2)
         y1_numerators = (signal_1, -(mu**2), mu**2, 0.0, -signal_1)
         y2_numerators = (signal_2, 0.0, -2.0 * mu, 2.0 * mu, -signal_2)
         boost = (1.0, math.exp(nu3), math.exp(nu2), math.exp(nu1), math.exp(mu))
         d1, d2 = _denominators(self)
+        numbers = [0.0, float(nu3), float(nu2), float(nu1), float(mu)]
         # each entry numerator * e^nu / denominator, as numbers, class by class
-        entries = []
         for a, b, e in zip(y1_numerators, y2_numerators, boost):
-            entries += (a * e / d1, b * e / d2)
-        # float64 arrays, as the estimator's array operands should be (see channel.ZERO)
-        arrays = (
-            np.array(intensities),
-            np.array(entries),
-            np.array(math.exp(nu3)),
-            np.array(math.exp(-mu)),
-            np.array((nu3, nu3**2)),
-            np.array((mu, mu**2)),
-        )
-        classes, entries, *factors = map(read_only, arrays)
-        # a view of a read-only array is read-only too
-        return (classes, intensities, entries.reshape(5, 2), *factors)
+            numbers += (a * e / d1, b * e / d2)
+        numbers += (boost[1], math.exp(-mu), nu3, nu3**2, mu, mu**2, 1.0, 2.0, E_VACUUM, 1.0)
+        return _ByRank(read_only(np.array(numbers, dtype=float)))
 
     @property
     def classes(self) -> np.ndarray:
         """The pulse-class intensities (0, nu3, nu2, nu1, mu), in that order."""
-        return self._constants[0]
+        return self._operands[0][0]
 
     @property
     def coefficients(self) -> np.ndarray:
         """The map from the five gains to Y1L and Y2L, e^nu and the denominators
         folded in, class by class: row i holds class i's (Y1L, Y2L) coefficients."""
-        return self._constants[2]
+        return self._operands[0][1]
 
 
-#: The caps of e1U and e2U.
-_ERROR_CAPS = read_only(np.array((E_VACUUM, 1.0)))
+class _ByRank(dict):
+    """An intensity set's operands by distance rank r, each tuple built on first
+    use as views of its 25 ``numbers``: the class column (5), the coefficient
+    matrix (5 x 2), e^nu3, e^-mu, and for the photon numbers n = 1, 2 the e_nU
+    scales (nu3, nu3^2), the Q_nL scales (mu, mu^2), n! and the e_nU caps
+    (1/2, 1). Each but the two 0-d factors has r axes of length 1 after its
+    leading shape, so that it broadcasts against arrays of r distance axes
+    without a reshape per call; a view of a read-only array is read-only too."""
 
-#: n! for the photon numbers n = 1, 2.
-_FACTORIALS = read_only(np.array((1.0, 2.0)))
+    def __init__(self, numbers: np.ndarray):
+        super().__init__()
+        self.numbers = numbers
+
+    def __missing__(self, rank: int) -> tuple:
+        numbers, ones = self.numbers, (1,) * rank
+        rows = numbers.reshape(numbers.shape + ones)  # rows[i:j] is a column
+        self[rank] = operands = (
+            rows[:5],
+            numbers[5:15].reshape((5, 2) + ones),
+            numbers[15, ...],
+            numbers[16, ...],
+            rows[17:19],
+            rows[19:21],
+            rows[21:23],
+            rows[23:],
+        )
+        return operands
+
 
 _CLAMP_NAMES = (
     "single-photon bound vacuous (Y1L <= 0)",
@@ -272,39 +289,41 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
     """
     if not isinstance(intensities, IntensitySet):
         raise TypeError(f"intensities must be an IntensitySet, got {type(intensities).__name__}")
-    _, expected, coefficients, exp_nu3, exp_neg_mu, error_scale, gain_scale = (
-        intensities._constants
-    )
-    observed = np.asarray(tallies.intensity).ravel().tolist()
-    if observed != expected:
-        raise ValueError(
-            f"tally intensities {observed} do not match the set's vacuum, nu3, nu2, nu1, mu "
-            f"{expected}"
-        )
     gain, qber = tallies.gain, tallies.qber
+    # synthesize_tallies passes the set's class column of the distance rank
+    # through unchanged, so the set's own tally matches by identity; any other
+    # (another set's, an equal copy, a hand-built one) is compared by value
+    operands = intensities._operands.get(getattr(gain, "ndim", 0) - 1)
+    if operands is None or tallies.intensity is not operands[0]:
+        observed = np.asarray(tallies.intensity).ravel().tolist()
+        expected = intensities.classes.tolist()
+        if observed != expected:
+            raise ValueError(
+                f"tally intensities {observed} do not match the set's vacuum, nu3, nu2, nu1, "
+                f"mu {expected}"
+            )
+        operands = intensities._operands[gain[0].ndim]
+    _, coefficients, exp_nu3, exp_neg_mu, error_scale, gain_scale, factorials, cap = operands
     y0, e0 = gain[0], qber[0]
-    # photon numbers 1 and 2 on axis 0, broadcast against the distances
-    column = (2,) + (1,) * y0.ndim
     # summed class by class in a fixed order (a BLAS product rounds differently
     # at each width): the reduction over axis 0 adds the classes in order, as
     # Python's sum would. Only a zero's sign can differ, since sum starts from the
     # integer 0 and so turns -0.0 into +0.0; the clamp below gives +0.0 for
-    # either, and the clamp mask tests <= 0
-    raw_yield = np.add.reduce(coefficients.reshape((5,) + column) * gain[:, None], 0)
-    factorials = _FACTORIALS.reshape(column)
+    # either, and the clamp mask tests <= 0. Photon numbers 1 and 2 lie on axis 0
+    # of each per-photon operand, broadcast against the distances
+    raw_yield = np.add.reduce(coefficients * gain[:, None], 0)
     # n! (E_nu3 Q_nu3 e^nu3 - e0 Y0), the numerator of e_nU
     weight = (qber[1] * gain[1] * exp_nu3 - e0 * y0) * factorials
-    cap = _ERROR_CAPS.reshape(column)
     # np.clip's signs of zero, which differ with scalar and array bounds
     y = np.minimum(np.maximum(ZERO, raw_yield), ONE)
-    denominator = y * error_scale.reshape(column)
+    denominator = y * error_scale
     # e_nU is the cap where Y_nL, or Y_nL times the scale, is 0: it bounds nothing
     raw_error = np.empty(denominator.shape)
     raw_error.fill(np.inf)
     np.divide(weight, denominator, out=raw_error, where=denominator != ZERO)
     error = np.minimum(np.maximum(raw_error, ZERO), cap)
     # Q_nL = Y_nL mu^n e^(-mu) / n!, both photon numbers in one product
-    q = y * gain_scale.reshape(column) * exp_neg_mu / factorials
+    q = y * gain_scale * exp_neg_mu / factorials
     return PhotonBounds(
         y0, e0, y0 * exp_neg_mu, y[0], error[0], q[0], y[1], q[1], error[1],
         (raw_yield, raw_error, cap),

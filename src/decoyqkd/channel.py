@@ -18,7 +18,6 @@ constants, its range test ``within`` (every element in [low, high]), ``NUMBER``
 
 from __future__ import annotations
 
-import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -60,7 +59,8 @@ def within(x, low: float, high: float) -> bool:
     if isinstance(x, float):  # NaN fails the chained test too
         return low <= x <= high
     # float64 first: initial=np.inf raises OverflowError on an int array
-    x = np.asarray(x, dtype=float)
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
+        x = np.asarray(x, dtype=float)
     smallest = np.minimum.reduce(x, None, initial=np.inf)
     return bool(smallest >= low and np.maximum.reduce(x, None, initial=-np.inf) <= high)
 
@@ -195,12 +195,19 @@ class ObservedTally:
     qber: float
 
     def __post_init__(self):
-        for name in ("intensity", "gain", "qber"):
-            value = getattr(self, name)
-            # checked before the reductions, which a str breaks and a complex number passes
-            if type(value) is not float and getattr(value, "dtype", None) is not _FLOAT64:
-                requirement = ">= 0" if name == "intensity" else "in [0, 1]"
-                object.__setattr__(self, name, as_real(value, f"{name} must be {requirement}"))
+        # checked before the reductions, which a str breaks and a complex number
+        # passes; three float64 fields, as the rate chain passes, take one test
+        if not (
+            getattr(self.intensity, "dtype", None)
+            is getattr(self.gain, "dtype", None)
+            is getattr(self.qber, "dtype", None)
+            is _FLOAT64
+        ):
+            for name in ("intensity", "gain", "qber"):
+                value = getattr(self, name)
+                if type(value) is not float and getattr(value, "dtype", None) is not _FLOAT64:
+                    requirement = ">= 0" if name == "intensity" else "in [0, 1]"
+                    object.__setattr__(self, name, as_real(value, f"{name} must be {requirement}"))
         # one test of all three ranges, which NaN fails; the tests below run
         # only where it fails, to name the first field out of range
         low, high = np.minimum(self.gain, self.qber), np.maximum(self.gain, self.qber)
@@ -228,19 +235,17 @@ def poisson_weight(mu: float, n: int) -> float:
 
     P_n(mu) = mu^n e^(-mu) / n!
     """
-    if not 0 <= mu <= sys.float_info.max:
+    # one number each: an array, a str or None is no mean or count, and an exact
+    # comparison with the float range rejects NaN, inf and an int beyond it
+    if not (isinstance(mu, NUMBER) and 0 <= mu <= _FLOAT_MAX):
         raise ParameterError("mean photon number must be finite and >= 0")
-    if n < 0 or n != int(n):
+    if not (isinstance(n, NUMBER) and 0 <= n <= _FLOAT_MAX) or n != int(n):
         raise ParameterError("photon count must be a non-negative integer")
     n = int(n)
     if mu == 0:
         return 1.0 if n == 0 else 0.0
     # log form avoids overflow in mu**n / n! for large n
     return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
-
-
-#: transmittance's guard where alpha * distance cannot overflow.
-_NO_GUARD = contextlib.nullcontext()
 
 
 def transmittance(params: ChannelParams) -> float:
@@ -252,10 +257,11 @@ def transmittance(params: ChannelParams) -> float:
     # alpha * distance above ~1.8e308 overflows, where eta = 0 is the limit. An
     # alpha <= 1 keeps it within the distance's float range; 10^(x <= 0) can
     # only underflow, which numpy ignores by default
-    guard = _NO_GUARD if alpha <= 1.0 else np.errstate(over="ignore")
+    if alpha > 1.0:
+        with np.errstate(over="ignore"):
+            return params.eta_bob * np.power(TEN, -alpha * params.distance_km / TEN)
     # np.power: ** on a Python float can round differently from the array loop
-    with guard:
-        return params.eta_bob * np.power(TEN, -alpha * params.distance_km / TEN)
+    return params.eta_bob * np.power(TEN, -alpha * params.distance_km / TEN)
 
 
 def honest_tally(intensity: float, params: ChannelParams) -> ObservedTally:
@@ -285,7 +291,7 @@ def honest_tally(intensity: float, params: ChannelParams) -> ObservedTally:
     if np.minimum.reduce(gain, None, initial=1, where=sent) <= 0:
         raise UndefinedQberError("QBER is undefined at zero gain")
     numerator = E_VACUUM * params.y0 - params.e_det * minus_hit
-    qber = np.empty(np.shape(gain))
+    qber = np.empty(gain.shape)  # gain is an array or a numpy scalar
     qber.fill(E_VACUUM)
     np.divide(numerator, gain, out=qber, where=sent)
     return ObservedTally(intensity, gain, qber[()])
@@ -298,8 +304,9 @@ def synthesize_tallies(intensities: IntensitySet, params: ChannelParams) -> Obse
     intensity: vacuum, nu3, nu2, nu1, mu. ``intensity`` is their column, of
     shape (5, 1, ...) with one 1 per distance axis (so (5,) at a scalar
     distance), and each row of ``gain`` and ``qber`` has the shape of the
-    distance.
+    distance. The column is the set's own read-only array for that rank, the
+    same object on every call, by which ``estimate_photon_bounds`` knows the
+    tally for the set's own.
     """
-    # one column per class, broadcast against the distances
-    column = intensities.classes.reshape((5,) + (1,) * np.ndim(params.distance_km))
-    return honest_tally(column, params)
+    # np.ndim would convert a float distance to an array first
+    return honest_tally(intensities._operands[getattr(params.distance_km, "ndim", 0)][0], params)

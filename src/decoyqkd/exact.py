@@ -25,6 +25,7 @@ from .bounds import PhotonBounds
 from .channel import (
     ChannelParams,
     E_VACUUM,
+    NUMBER,
     ParameterError,
     UndefinedQberError,
     poisson_weight,
@@ -48,9 +49,16 @@ class ExactPhotonStats:
 
 
 def exact_stats(n: int, mu: float, params: ChannelParams) -> ExactPhotonStats:
-    """Exact statistics for n-photon pulses out of a source of mean ``mu``, per distance."""
-    if n < 0:
+    """Exact statistics for n-photon pulses out of a source of mean ``mu``, per distance.
+
+    ``n`` and ``mu`` are each one number, as in ``poisson_weight``: anything else
+    raises ParameterError, "photon number must be >= 0" for an n that is not a
+    number >= 0, and then ``poisson_weight``'s message.
+    """
+    if not (isinstance(n, NUMBER) and n >= 0):  # NaN fails too
         raise ParameterError("photon number must be >= 0")
+    # first, so that its checks of mu and of n as a count precede any arithmetic
+    weight = poisson_weight(mu, n)
     eta = transmittance(params)
     # 1 - (1 - eta)^n without its cancellation to 0 below eta ~ 1e-16;
     # at eta = 1, log1p gives -inf and the hit is exactly 1
@@ -63,9 +71,7 @@ def exact_stats(n: int, mu: float, params: ChannelParams) -> ExactPhotonStats:
     guess = np.full(np.shape(y_raw), E_VACUUM)
     error_rate = np.divide(numerator, y_raw, out=guess, where=detected)
     detection_yield = np.minimum(y_raw, 1.0)
-    return ExactPhotonStats(
-        detection_yield, error_rate[()], detection_yield * poisson_weight(mu, n)
-    )
+    return ExactPhotonStats(detection_yield, error_rate[()], detection_yield * weight)
 
 
 def exact_bounds(mu: float, params: ChannelParams) -> PhotonBounds:

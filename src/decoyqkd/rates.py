@@ -94,7 +94,9 @@ def _secure_rate(sifting, signal_tally: ObservedTally, f_ec, q0, gains, errors) 
     bounded = stacked[1:]  # the error rates, capped at 1/2 in place
     np.minimum(bounded, HALF, out=bounded)
     h_mu, *entropies = binary_entropy(stacked)
-    key = sum((gain * (ONE - entropy) for gain, entropy in zip(gains, entropies)), q0)
+    key = q0
+    for gain, entropy in zip(gains, entropies):
+        key = key + gain * (ONE - entropy)
     return sifting * (key - signal_tally.gain * f_ec * h_mu)
 
 

@@ -12,6 +12,7 @@ from decoyqkd import (
     IntensityConstraintError,
     IntensitySet,
     ObservedTally,
+    PhotonBounds,
     balance_residual,
     construct_intensity_set,
     estimate_photon_bounds,
@@ -169,9 +170,27 @@ class TestEstimateBackground:
 
     def test_tallies_of_another_set_rejected(self, gys):
         # honest tallies of mu = 0.30 would give Y1L = 0.00221 against an exact Y1 of 0.00401
+        s = construct_intensity_set(0.48)
         tallies = synthesize_tallies(construct_intensity_set(0.30), gys.at_distance(50))
         with pytest.raises(ValueError, match="do not match"):
-            estimate_photon_bounds(tallies, construct_intensity_set(0.48))
+            estimate_photon_bounds(tallies, s)
+        # the set's own tally matches by identity; the tally of a distinct but
+        # equal set, and one holding a writable copy of the set's column, match
+        # by value, and give the same bits, past the cutoff where the clamps fire
+        link = gys.at_distance(np.arange(0.0, 301.0, 25.0))
+        own = synthesize_tallies(s, link)
+        equal = synthesize_tallies(construct_intensity_set(0.48), link)
+        copied = ObservedTally(own.intensity.copy(), own.gain, own.qber)
+        assert copied.intensity.flags.writeable
+        expected = estimate_photon_bounds(own, s)
+        for tally in (equal, copied):
+            assert tally.intensity is not own.intensity
+            bounds = estimate_photon_bounds(tally, s)
+            for name in (f.name for f in fields(PhotonBounds) if f.compare):
+                got, want = getattr(bounds, name), getattr(expected, name)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+            assert bounds.clamps.tobytes() == expected.clamps.tobytes()
+        assert expected.clamps.any()
 
 
 class TestBoundSinglePhoton:

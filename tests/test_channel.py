@@ -20,6 +20,7 @@ from decoyqkd import (
     binary_entropy,
     construct_intensity_set,
     estimate_photon_bounds,
+    exact_bounds,
     exact_ceiling_km,
     exact_stats,
     honest_tally,
@@ -27,6 +28,7 @@ from decoyqkd import (
     optimal_mu_sarg04,
     poisson_weight,
     rate_at,
+    reconstruct_gain,
     synthesize_tallies,
     transmittance,
 )
@@ -558,6 +560,41 @@ ENTRY_POINTS = {
         1e-3,
         ValueError,
         lambda name, v: f"transmittance must be in [0, 1], got {v}",
+    ),
+    "poisson_weight": (
+        lambda v: poisson_weight(v, 1),
+        0.5,
+        ParameterError,
+        lambda name, v: "mean photon number must be finite and >= 0",
+    ),
+    "poisson_weight-n": (
+        lambda v: poisson_weight(0.5, v),
+        1,
+        ParameterError,
+        lambda name, v: "photon count must be a non-negative integer",
+    ),
+    # n is checked to be >= 0 first, then by poisson_weight to be a count
+    "exact_stats": (
+        lambda v: exact_stats(v, 0.5, GYS.at_distance(10.0)),
+        1,
+        ParameterError,
+        lambda name, v: (
+            "photon count must be a non-negative integer"
+            if name in ("inf", "int-beyond-float")
+            else "photon number must be >= 0"
+        ),
+    ),
+    "exact_bounds": (
+        lambda v: exact_bounds(v, GYS.at_distance(10.0)),
+        0.5,
+        ParameterError,
+        lambda name, v: "mean photon number must be finite and >= 0",
+    ),
+    "reconstruct_gain": (
+        lambda v: reconstruct_gain(v, GYS.at_distance(10.0)),
+        0.5,
+        ParameterError,
+        lambda name, v: "mean photon number must be finite and >= 0",
     ),
 }
 

@@ -85,8 +85,6 @@ def test_module_arrays_are_read_only():
                 shared[f"{name}.{attribute}"] = value.flags.writeable
     expected = {
         "decoyqkd.channel.ONE",
-        "decoyqkd.bounds._ERROR_CAPS",
-        "decoyqkd.bounds._FACTORIALS",
         "decoyqkd.rates._MU_CELL",
         "decoyqkd.rates._TINY",
         "decoyqkd.sweeps._COARSE_GRID",

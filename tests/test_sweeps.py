@@ -91,10 +91,17 @@ class TestConstructIntensitySet:
         # every call with one set shares these arrays, so none may write to them
         s = construct_intensity_set(0.48)
         assert s.classes is s.classes and s.coefficients is s.coefficients
-        tallies = [synthesize_tallies(s, gys.at_distance(d)) for d in (0.0, np.arange(3.0))]
-        for array in [s.classes, s.coefficients] + [t.intensity for t in tallies]:
+        distances = (0.0, np.arange(3.0), np.zeros((2, 3)))
+        tallies = [synthesize_tallies(s, gys.at_distance(d)) for d in distances]
+        # the estimator's operands, one tuple of views per distance rank
+        operands = [s._operands[rank] for rank in range(3)]
+        for rank, (tally, views) in enumerate(zip(tallies, operands)):
+            assert s._operands[rank] is views and tally.intensity is views[0]
+            assert synthesize_tallies(s, gys.at_distance(distances[rank])).intensity is views[0]
+        arrays = [s.classes, s.coefficients] + [t.intensity for t in tallies]
+        for array in arrays + [view for views in operands for view in views]:
             with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1.0
+                array[...] = 1.0
 
 
 class TestSweep:
@@ -289,6 +296,22 @@ class TestDistanceArrays:
         assert grid.distance_km.tolist() == [p.distance_km for p in points]
         assert grid.mu.tolist() == [p.mu for p in points]
         assert grid.rate.tolist() == [p.rate for p in points]
+
+    @pytest.mark.parametrize("protocol,mu", PROTOCOL_KINDS)
+    def test_every_distance_rank_gives_the_same_bits(self, gys, protocol, mu):
+        # each rank takes its own operand views of the set: a 2-d grid gives
+        # each row's 1-d rates, and a number the one-element array's
+        grid = self.DISTANCES[:400].reshape(4, 100)
+        rows = rate_at(protocol, mu, gys, grid)
+        assert rows.distance_km.shape == rows.mu.shape == rows.rate.shape == grid.shape
+        for distances, row_mu, row_rate in zip(grid, rows.mu, rows.rate):
+            point = rate_at(protocol, mu, gys, distances)
+            assert row_mu.tobytes() == point.mu.tobytes()
+            assert row_rate.tobytes() == point.rate.tobytes()
+        for distance in (0.0, 75.0, 140.0, 400.0):
+            point, single = (rate_at(protocol, mu, gys, d) for d in (distance, [distance]))
+            assert point.mu.hex() == single.mu[0].hex()
+            assert point.rate.hex() == single.rate[0].hex()
 
     @pytest.mark.parametrize("protocol,mu", PROTOCOL_KINDS)
     def test_empty_distance_array_gives_empty_rates(self, gys, protocol, mu):
