@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import E_VACUUM, NUMBER, ONE, ZERO, ObservedTally, read_only
+from .channel import E_VACUUM, ONE, ZERO, ObservedTally, number_in, read_only
 
 
 class IntensityConstraintError(ValueError):
@@ -68,7 +68,7 @@ class IntensitySet:
     """Signal and decoy mean photon numbers, checked when built.
 
     Required, of four real numbers (an int within the float range, a float or a
-    numpy scalar):
+    numpy scalar, not NaN), mu finite:
         0 < nu3 < nu2 <= (2/3) mu < nu1 <= (3/4) mu
         nu2 < nu1
         nu1 + nu2 > mu
@@ -96,13 +96,13 @@ class IntensitySet:
     def __post_init__(self):
         mu, nu1, nu2, nu3 = self.mu, self.nu1, self.nu2, self.nu3
         problems = []
-        # an int beyond the float range is no real number here: the float
-        # arithmetic of the checks below would raise OverflowError on it
-        top = sys.float_info.max
-        if not (isinstance(mu, NUMBER) and mu > 0) or isinstance(mu, int) and mu > top:
+        # mu is finite, and an int beyond the float range lies in no range: the
+        # float arithmetic of the checks below would raise OverflowError on it. An
+        # infinite nu breaks the constraints, which name it
+        if not number_in(mu, math.nextafter(0.0, 1.0), sys.float_info.max):
             raise IntensityConstraintError(f"mu must be > 0, got {mu}")
         for name, nu in (("nu1", nu1), ("nu2", nu2), ("nu3", nu3)):
-            if not isinstance(nu, NUMBER) or isinstance(nu, int) and not -top <= nu <= top:
+            if not number_in(nu, -math.inf, math.inf):
                 raise IntensityConstraintError(f"{name} must be a real number, got {nu!r}")
         if not 0 < nu3:
             problems.append(f"nu3 must be > 0 (nu3={nu3})")
@@ -290,10 +290,13 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
     if not isinstance(intensities, IntensitySet):
         raise TypeError(f"intensities must be an IntensitySet, got {type(intensities).__name__}")
     gain, qber = tallies.gain, tallies.qber
+    if not getattr(gain, "shape", ())[:1] == getattr(qber, "shape", ())[:1] == (5,):
+        shapes = f"shapes {np.shape(gain)} and {np.shape(qber)}"
+        raise ValueError(f"tally gain and qber must stack the five classes on axis 0, got {shapes}")
     # synthesize_tallies passes the set's class column of the distance rank
     # through unchanged, so the set's own tally matches by identity; any other
     # (another set's, an equal copy, a hand-built one) is compared by value
-    operands = intensities._operands.get(getattr(gain, "ndim", 0) - 1)
+    operands = intensities._operands.get(gain.ndim - 1)
     if operands is None or tallies.intensity is not operands[0]:
         observed = np.asarray(tallies.intensity).ravel().tolist()
         expected = intensities.classes.tolist()
@@ -302,7 +305,7 @@ def estimate_photon_bounds(tallies: ObservedTally, intensities: IntensitySet) ->
                 f"tally intensities {observed} do not match the set's vacuum, nu3, nu2, nu1, "
                 f"mu {expected}"
             )
-        operands = intensities._operands[gain[0].ndim]
+        operands = intensities._operands[gain.ndim - 1]
     _, coefficients, exp_nu3, exp_neg_mu, error_scale, gain_scale, factorials, cap = operands
     y0, e0 = gain[0], qber[0]
     # summed class by class in a fixed order (a BLAS product rounds differently

@@ -12,8 +12,12 @@ every observable then has its shape broadcast with the intensity's.
 
 The other modules share its read-only 0-d float64 operands ``ZERO``,
 ``QUARTER``, ``HALF``, ``ONE``, ``TWO`` and ``TEN``, its ``read_only`` for
-constants, its range test ``within`` (every element in [low, high]), ``NUMBER``
-(the types of a real number) and ``as_real``, the one number rule for inputs.
+constants and the one number rule for inputs: ``number_in`` (one real number
+whose float64 value lies in [low, high]), ``within`` (every element of an array
+in [low, high], a number by ``number_in``) and ``as_real`` (a real number or
+array, a list or tuple as a float64 array). A number's range is judged on its
+float64 value, so a float32 or float16 inf is rejected like a float inf, and an
+int beyond the float range lies in no range. An intensity must be finite.
 """
 
 from __future__ import annotations
@@ -52,19 +56,6 @@ ZERO, QUARTER, HALF, ONE, TWO, TEN = (
     read_only(np.array(v)) for v in (0.0, 0.25, 0.5, 1.0, 2.0, 10.0)
 )
 
-
-def within(x, low: float, high: float) -> bool:
-    """Whether every element of ``x`` lies in [low, high]: False if any is NaN,
-    True if there is none (the identities of the two reductions)."""
-    if isinstance(x, float):  # NaN fails the chained test too
-        return low <= x <= high
-    # float64 first: initial=np.inf raises OverflowError on an int array
-    if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
-        x = np.asarray(x, dtype=float)
-    smallest = np.minimum.reduce(x, None, initial=np.inf)
-    return bool(smallest >= low and np.maximum.reduce(x, None, initial=-np.inf) <= high)
-
-
 #: The types of a real number; a str, which np.asarray would parse, is not one.
 NUMBER = (int, float, np.integer, np.floating)
 
@@ -74,31 +65,79 @@ _FLOAT_MAX = sys.float_info.max
 _FLOAT64 = np.dtype(float)
 
 
+def number_in(x, low: float, high: float) -> bool:
+    """Whether ``x`` is one real number (a ``NUMBER``) whose float64 value lies in
+    [low, high]: False for NaN, an int beyond the float range and any other value.
+    A float32 or float16 is compared as its float64 value, so its inf is inf."""
+    if type(x) is not float:
+        # no float holds an int beyond the float range, and float() raises on it;
+        # any value that is no real number becomes NaN
+        big_int = isinstance(x, int) and not -_FLOAT_MAX <= x <= _FLOAT_MAX
+        x = float(x) if isinstance(x, NUMBER) and not big_int else math.nan
+    return low <= x <= high  # NaN fails the chained test
+
+
+def within(x, low: float, high: float) -> bool:
+    """Whether every element of the real array ``x`` lies in [low, high]: False if
+    any is NaN, True if there is none (the identities of the two reductions), and
+    False for an array of text or objects. Any ``x`` that is not an array is
+    judged by ``number_in``."""
+    if not isinstance(x, np.ndarray):
+        return number_in(x, low, high)
+    if x.dtype is not _FLOAT64:
+        if x.dtype.kind not in _REAL_KINDS:  # np.asarray would parse text
+            return False
+        x = np.asarray(x, dtype=float)  # initial=np.inf raises OverflowError on an int array
+    smallest = np.minimum.reduce(x, None, initial=np.inf)
+    return bool(smallest >= low and np.maximum.reduce(x, None, initial=-np.inf) <= high)
+
+
 def as_real(value, message: str):
     """``value`` if a real number or array, a list or tuple of numbers as a float64
-    array; any other value (a str, None, complex, object, or an int beyond the
-    float range, which no float holds) raises ParameterError(message)."""
+    array; any other value (a str, None, complex, object) raises
+    ParameterError(message). An int beyond the float range is returned: it lies in
+    no range of ``within``."""
     if type(value) in (list, tuple):
         value = np.array(value)  # not np.array(value, dtype=float), which parses a str
         value = value.astype(float) if value.dtype.kind in _REAL_KINDS else value
     real_array = isinstance(value, np.ndarray) and value.dtype.kind in _REAL_KINDS
-    big_int = isinstance(value, int) and not -_FLOAT_MAX <= value <= _FLOAT_MAX
-    if real_array or isinstance(value, NUMBER) and not big_int:
+    if real_array or isinstance(value, NUMBER):
         return value
     raise ParameterError(message)
 
 
+#: The types of a field that takes an array, or a list or tuple, which becomes one.
+_ARRAY_OR_NUMBER = (*NUMBER, np.ndarray, list, tuple)
+
 #: Each ChannelParams field's accepted types and range (name, types, low, high,
-#: requirement); nextafter opens a closed end. Only the distance takes an array,
-#: or a list or tuple, which becomes one.
+#: requirement); nextafter opens a closed end. Only the distance takes an array.
 _CHANNEL_RANGES = (
     ("alpha_db_per_km", NUMBER, 0.0, _FLOAT_MAX, "finite and >= 0"),
-    ("distance_km", (*NUMBER, np.ndarray, list, tuple), 0.0, _FLOAT_MAX, "finite and >= 0"),
+    ("distance_km", _ARRAY_OR_NUMBER, 0.0, _FLOAT_MAX, "finite and >= 0"),
     ("eta_bob", NUMBER, math.nextafter(0.0, 1.0), 1.0, "in (0, 1]"),
     ("y0", NUMBER, 0.0, math.nextafter(1.0, 0.0), "in [0, 1)"),
     ("e_det", NUMBER, 0.0, 0.5, "in [0, 0.5]"),
     ("f_ec", NUMBER, 1.0, _FLOAT_MAX, "finite and >= 1"),
 )
+
+#: ObservedTally's rows, as in _CHANNEL_RANGES: every field takes an array.
+_TALLY_RANGES = (
+    ("intensity", _ARRAY_OR_NUMBER, 0.0, _FLOAT_MAX, ">= 0"),
+    ("gain", _ARRAY_OR_NUMBER, 0.0, 1.0, "in [0, 1]"),
+    ("qber", _ARRAY_OR_NUMBER, 0.0, 1.0, "in [0, 1]"),
+)
+
+
+def _check_fields(instance, rows) -> None:
+    """Check each field of the frozen dataclass ``instance`` by its row (name,
+    types, low, high, requirement), in order, its type then its range: the first
+    that fails raises ParameterError("<name> must be <requirement>"). Each field
+    is then set to its ``as_real`` form, a list or tuple to a float64 array."""
+    for name, types, low, high, requirement in rows:
+        rule, value = f"{name} must be {requirement}", getattr(instance, name)
+        if not isinstance(value, types) or not within(value := as_real(value, rule), low, high):
+            raise ParameterError(rule)
+        object.__setattr__(instance, name, value)
 
 
 @dataclass(frozen=True)
@@ -127,9 +166,10 @@ class ChannelParams:
     f_ec: float
 
     def __post_init__(self):
-        # one test of the ranges for the common case, Python floats and a float64
-        # distance array, which NaN and inf fail; the loop below runs only where it
-        # fails, to name the first field out of range
+        # one test of the ranges for the common case, Python floats and any distance
+        # (within judges a number by number_in), which NaN and inf fail; the
+        # field-by-field check runs only where it fails, to name the first field
+        # that is no real number or out of range
         alpha, distance, eta, y0, e_det, f_ec = (
             self.alpha_db_per_km, self.distance_km, self.eta_bob, self.y0, self.e_det, self.f_ec
         )
@@ -141,17 +181,9 @@ class ChannelParams:
             and 0.0 <= e_det <= 0.5
             and 1.0 <= f_ec <= _FLOAT_MAX
         ):
-            if type(distance) is float:
-                if 0.0 <= distance <= _FLOAT_MAX:
-                    return
-            elif type(distance) is np.ndarray and distance.dtype is _FLOAT64:
-                if within(distance, 0.0, _FLOAT_MAX):
-                    return
-        for name, types, low, high, requirement in _CHANNEL_RANGES:
-            rule, value = f"{name} must be {requirement}", getattr(self, name)
-            if not isinstance(value, types) or not within(value := as_real(value, rule), low, high):
-                raise ParameterError(rule)
-            object.__setattr__(self, name, value)
+            if within(distance, 0.0, _FLOAT_MAX):
+                return
+        _check_fields(self, _CHANNEL_RANGES)
 
     def at_distance(self, distance_km: float) -> "ChannelParams":
         """Same link evaluated at a different fiber length, or at an array of lengths."""
@@ -183,7 +215,8 @@ class ObservedTally:
 
     ``gain`` is the probability per sent pulse that Bob registers a
     detection; ``qber`` is the error fraction among those detections. Each
-    field may be an array over distances, and every element is checked; a
+    field may be an array over distances, and every element is checked, field
+    by field: the intensity finite and >= 0, the gain and QBER in [0, 1]. A
     list or tuple becomes a float64 array.
     ``synthesize_tallies`` stacks the five classes, with ``intensity`` their
     (5, 1, ...) column, which broadcasts against the distances (a (5,)
@@ -195,35 +228,19 @@ class ObservedTally:
     qber: float
 
     def __post_init__(self):
-        # checked before the reductions, which a str breaks and a complex number
-        # passes; three float64 fields, as the rate chain passes, take one test
-        if not (
-            getattr(self.intensity, "dtype", None)
-            is getattr(self.gain, "dtype", None)
-            is getattr(self.qber, "dtype", None)
-            is _FLOAT64
-        ):
-            for name in ("intensity", "gain", "qber"):
-                value = getattr(self, name)
-                if type(value) is not float and getattr(value, "dtype", None) is not _FLOAT64:
-                    requirement = ">= 0" if name == "intensity" else "in [0, 1]"
-                    object.__setattr__(self, name, as_real(value, f"{name} must be {requirement}"))
-        # one test of all three ranges, which NaN fails; the tests below run
-        # only where it fails, to name the first field out of range
-        low, high = np.minimum(self.gain, self.qber), np.maximum(self.gain, self.qber)
-        # NaN if any element is; the initial 0 lets an empty array through and,
-        # unlike +-inf, fits an int array
-        smallest, largest = np.minimum.reduce, np.maximum.reduce
-        in_range = smallest(self.intensity, None, initial=0) >= 0
-        in_range = in_range and smallest(low, None, initial=0) >= 0
-        if in_range and largest(high, None, initial=0) <= 1:
-            return
-        if not within(self.intensity, 0.0, math.inf):
-            raise ParameterError("intensity must be >= 0")
-        if not within(self.gain, 0.0, 1.0):
-            raise ParameterError("gain must be in [0, 1]")
-        if not within(self.qber, 0.0, 1.0):
-            raise ParameterError("qber must be in [0, 1]")
+        # a float64 gain and qber, as the rate chain passes, take one type test and
+        # one test of all three ranges, which NaN fails; within takes any intensity,
+        # a number by number_in. The field-by-field check runs only where the test
+        # fails, to name the first field that is no real number or out of range
+        gain, qber = self.gain, self.qber
+        if getattr(gain, "dtype", None) is getattr(qber, "dtype", None) is _FLOAT64:
+            low, high = np.minimum(gain, qber), np.maximum(gain, qber)
+            in_range = within(self.intensity, 0.0, _FLOAT_MAX)
+            # NaN if any element is; the initial 0 lets an empty array through
+            in_range = in_range and np.minimum.reduce(low, None, initial=0) >= 0
+            if in_range and np.maximum.reduce(high, None, initial=0) <= 1:
+                return
+        _check_fields(self, _TALLY_RANGES)
 
     def row(self, index: int) -> "ObservedTally":
         """The tally of pulse class ``index`` of a stacked tally (-1 is the signal)."""
@@ -235,11 +252,10 @@ def poisson_weight(mu: float, n: int) -> float:
 
     P_n(mu) = mu^n e^(-mu) / n!
     """
-    # one number each: an array, a str or None is no mean or count, and an exact
-    # comparison with the float range rejects NaN, inf and an int beyond it
-    if not (isinstance(mu, NUMBER) and 0 <= mu <= _FLOAT_MAX):
+    # one number each: an array, a str or None is no mean or count
+    if not number_in(mu, 0.0, _FLOAT_MAX):
         raise ParameterError("mean photon number must be finite and >= 0")
-    if not (isinstance(n, NUMBER) and 0 <= n <= _FLOAT_MAX) or n != int(n):
+    if not number_in(n, 0.0, _FLOAT_MAX) or n != int(n):
         raise ParameterError("photon count must be a non-negative integer")
     n = int(n)
     if mu == 0:
@@ -271,14 +287,21 @@ def honest_tally(intensity: float, params: ChannelParams) -> ObservedTally:
     E = [Y0/2 + e_det (1 - e^(-eta * intensity))] / Q
 
     Dark counts contribute at error rate 1/2; detected photons err with
-    probability e_det. Elementwise in intensity and distance by
+    probability e_det. The intensity is finite and >= 0, as in
+    ``ObservedTally``. Elementwise in intensity and distance by
     broadcasting. A vacuum class (intensity 0) has QBER 1/2 even at zero
     gain; any other class with zero gain raises ``UndefinedQberError``.
     """
     if type(intensity) is not float and getattr(intensity, "dtype", None) is not _FLOAT64:
-        intensity = as_real(intensity, "intensity must be >= 0")  # as in ObservedTally
-    if not np.minimum.reduce(intensity, None, initial=0) >= 0:  # NaN fails too
+        intensity = as_real(intensity, "intensity must be >= 0")
+    if not within(intensity, 0.0, _FLOAT_MAX):  # the ends of ObservedTally's intensity row
         raise ParameterError("intensity must be >= 0")
+    return _honest_tally(intensity, params)
+
+
+def _honest_tally(intensity, params: ChannelParams) -> ObservedTally:
+    """``honest_tally`` of an intensity already checked: by ``honest_tally``, or
+    an intensity set's class column, checked when the set was built."""
     eta = transmittance(params)
     # e^(-eta * intensity) - 1, the negated probability of a hit, by expm1:
     # exact at the vacuum (Y0 - 0 is Y0), and no cancellation to 0 where
@@ -300,13 +323,14 @@ def honest_tally(intensity: float, params: ChannelParams) -> ObservedTally:
 def synthesize_tallies(intensities: IntensitySet, params: ChannelParams) -> ObservedTally:
     """Honest-channel observables for vacuum, the three decoys, and the signal.
 
-    One ``honest_tally`` with the five pulse classes on axis 0, in ascending
+    One honest tally with the five pulse classes on axis 0, in ascending
     intensity: vacuum, nu3, nu2, nu1, mu. ``intensity`` is their column, of
     shape (5, 1, ...) with one 1 per distance axis (so (5,) at a scalar
     distance), and each row of ``gain`` and ``qber`` has the shape of the
     distance. The column is the set's own read-only array for that rank, the
     same object on every call, by which ``estimate_photon_bounds`` knows the
-    tally for the set's own.
+    tally for the set's own. The set checked the intensities when it was built,
+    so ``honest_tally``'s intensity check is not run again.
     """
     # np.ndim would convert a float distance to an array first
-    return honest_tally(intensities._operands[getattr(params.distance_km, "ndim", 0)][0], params)
+    return _honest_tally(intensities._operands[getattr(params.distance_km, "ndim", 0)][0], params)

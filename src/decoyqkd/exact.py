@@ -25,9 +25,9 @@ from .bounds import PhotonBounds
 from .channel import (
     ChannelParams,
     E_VACUUM,
-    NUMBER,
     ParameterError,
     UndefinedQberError,
+    number_in,
     poisson_weight,
     transmittance,
 )
@@ -53,9 +53,10 @@ def exact_stats(n: int, mu: float, params: ChannelParams) -> ExactPhotonStats:
 
     ``n`` and ``mu`` are each one number, as in ``poisson_weight``: anything else
     raises ParameterError, "photon number must be >= 0" for an n that is not a
-    number >= 0, and then ``poisson_weight``'s message.
+    number >= 0 (NaN and an int that no float holds are none), and then
+    ``poisson_weight``'s message.
     """
-    if not (isinstance(n, NUMBER) and n >= 0):  # NaN fails too
+    if not number_in(n, 0.0, np.inf):
         raise ParameterError("photon number must be >= 0")
     # first, so that its checks of mu and of n as a count precede any arithmetic
     weight = poisson_weight(mu, n)

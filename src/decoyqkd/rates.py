@@ -61,9 +61,11 @@ def _unit_interval(x, message: str) -> np.ndarray:
     A float64 array, as the rate chain passes, goes straight to the range test.
     """
     if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
-        try:  # as_real parses no text, unlike np.asarray(x, dtype=float); its message is unused
+        # as_real parses no text, unlike np.asarray(x, dtype=float), and its message
+        # is unused; no float holds an int beyond the float range
+        try:
             x = np.asarray(as_real(x, ""), dtype=float)
-        except ParameterError:
+        except (ParameterError, OverflowError):
             raise ValueError(message.format(x)) from None
     if not within(x, 0.0, 1.0):
         raise ValueError(message.format(x))

@@ -19,6 +19,7 @@ FIRST_SCAN_KM.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Union
@@ -27,11 +28,11 @@ import numpy as np
 
 from .bounds import IntensityConstraintError, IntensitySet, estimate_photon_bounds
 from .channel import (
-    NUMBER,
     ZERO,
     ChannelParams,
     as_real,
     honest_tally,
+    number_in,
     read_only,
     synthesize_tallies,
     transmittance,
@@ -55,6 +56,11 @@ DEFAULT_NU3 = 0.01
 #: under one photon on average; up to 100 the e^mu, mu^2 and mu^3 terms of
 #: the bounds and rates stay far from overflow (e^700 overflows them).
 MAX_MU = 100.0
+
+#: The smallest float above 0, the open lower end of mu, and the ends of the
+#: finite floats, the range of a grid bound and of nu3.
+_SMALLEST = math.nextafter(0.0, 1.0)
+_FINITE = (-sys.float_info.max, sys.float_info.max)
 
 #: Largest number of points a sweep may have.
 MAX_SWEEP_POINTS = 100_000
@@ -103,25 +109,16 @@ def construct_intensity_set(mu: float, nu3: float = DEFAULT_NU3) -> IntensitySet
     itself when built; a mu outside (0, MAX_MU] is rejected before any
     arithmetic, whose squares would overflow past about 1e154.
     """
-    if not (isinstance(mu, NUMBER) and 0 < mu <= MAX_MU):
+    if not number_in(mu, _SMALLEST, MAX_MU):
         raise IntensityConstraintError(f"mu must be > 0 and <= {MAX_MU:g}, got {mu}")
     nu1 = 0.75 * mu
     nu2 = 0.5 * (-nu1 + math.sqrt(4.0 * mu**2 - 3.0 * nu1**2))
     return IntensitySet(mu=mu, nu1=nu1, nu2=nu2, nu3=nu3)
 
 
-def _finite(value) -> bool:
-    """Whether ``value`` is a real number of finite float value; an int beyond
-    the float range has none (math.isfinite raises OverflowError on it)."""
-    try:
-        return isinstance(value, NUMBER) and math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def _grid_points(start_km: float, stop_km: float, step_km: float) -> int:
     """Number of points of the grid start:stop:step, checked before anything is allocated."""
-    if not all(map(_finite, (start_km, stop_km, step_km))):
+    if not all(number_in(value, *_FINITE) for value in (start_km, stop_km, step_km)):
         raise ValueError(f"start, stop and step must be finite, got {start_km}:{stop_km}:{step_km}")
     if step_km <= 0:
         raise ValueError("step_km must be > 0")
@@ -143,9 +140,9 @@ def _check_request(protocol: str, mu: Union[float, str], nu3: float) -> None:
             raise ValueError(f"mu must be a number or {OPTIMAL_MU!r}, got {mu!r}")
         if protocol in DECOY_RATES:
             raise ValueError("per-distance optimal mu is only defined for sarg04-no-decoy")
-    elif not (isinstance(mu, NUMBER) and 0 < mu <= MAX_MU):
+    elif not number_in(mu, _SMALLEST, MAX_MU):
         raise ValueError(f"mu must be > 0 and <= {MAX_MU:g}, got {mu}")
-    if not _finite(nu3):
+    if not number_in(nu3, *_FINITE):
         raise ValueError(f"nu3 must be finite, got {nu3}")
 
 

@@ -19,6 +19,10 @@ NOT_NUMBERS = {
     "None": lambda valid: None,
     "nan": lambda valid: math.nan,
     "inf": lambda valid: math.inf,
+    # a range is judged on the float64 value: numpy casts a Python float bound to
+    # float32 or float16, where the float max overflows to inf, which inf then passes
+    "float32-inf": lambda valid: np.float32(np.inf),
+    "float16-inf": lambda valid: np.float16(np.inf),
     # no float holds it: converting it raises OverflowError, not the input's error
     "int-beyond-float": lambda valid: 10**400,
 }

@@ -57,6 +57,11 @@ class TestValidateIntensities:
             # no float holds an int beyond the float range, and the checks are float arithmetic
             (dict(mu=0.30, nu1=10**400, nu2=0.1156035949, nu3=0.05), "nu1 must be a real number"),
             (dict(mu=0.30, nu1=0.225, nu2=0.1156035949, nu3=-10**400), "nu3 must be a real number"),
+            # NaN is no real number either, and orders against none
+            (dict(mu=0.30, nu1=0.225, nu2=0.1156035949, nu3=math.nan), "nu3 must be a real number"),
+            # mu is finite: the float32 and float16 inf too, as their float64 value
+            (dict(mu=math.inf, nu1=0.225, nu2=0.1156035949, nu3=0.05), "mu must be > 0, got inf"),
+            (dict(mu=np.float16(math.inf), nu1=0.225, nu2=0.1156, nu3=0.05), "mu must be > 0"),
         ],
     )
     def test_each_inequality_rejected(self, kwargs, fragment):
@@ -384,6 +389,22 @@ class TestEstimatePhotonBounds:
         with pytest.raises(IntensityConstraintError):
             s = IntensitySet(mu=0.30, nu1=0.225, nu2=0.25, nu3=0.05)
             estimate_photon_bounds(synthesize_tallies(s, gys), s)
+
+    @pytest.mark.parametrize(
+        "gain,qber",
+        [(0.1, 0.1), (np.float64(0.1), np.float64(0.1)), (np.full(2, 0.1), np.full(2, 0.1))]
+        + [(np.full(5, 0.1), 0.1)],
+        ids=["float", "float64", "two-classes", "number-qber"],
+    )
+    def test_tally_not_stacking_five_classes_rejected(self, gain, qber):
+        # the class intensities match the set's, so only the layout is wrong: one
+        # ValueError, before a class is read, not a TypeError, an IndexError or
+        # numpy's broadcast error
+        s = construct_intensity_set(0.48)
+        layout = "^tally gain and qber must stack the five classes on axis 0, got "
+        with pytest.raises(ValueError, match=layout) as raised:
+            estimate_photon_bounds(ObservedTally(s.classes, gain, qber), s)
+        assert type(raised.value) is ValueError
 
     def test_look_alike_set_rejected(self, gys):
         # a set is checked when built, so only a built IntensitySet is taken

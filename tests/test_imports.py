@@ -1,7 +1,8 @@
 """Module boundaries: no decoyqkd module imports another's private names,
-importing the package loads no third-party module but numpy, no module
-shares a writable array, and no constant array is defined twice. The tests
-import no third-party module that the `test` extra does not declare."""
+only channel names the number rule's types, importing the package loads no
+third-party module but numpy, no module shares a writable array, and no
+constant array is defined twice. The tests import no third-party module that
+the `test` extra does not declare."""
 
 import ast
 import importlib
@@ -34,6 +35,35 @@ def private_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_imports_no_private_name(path):
     assert private_imports(path) == []
+
+
+def number_rule_names(path: Path) -> list[str]:
+    """Each place where ``path`` names ``NUMBER`` or ``math.isfinite``, by which a
+    module would judge a number's range itself."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names if a.name == "NUMBER"]
+            names += [a.name for a in node.names if node.module == "math" and a.name == "isfinite"]
+        elif isinstance(node, ast.Name) and node.id == "NUMBER":
+            names = [node.id]
+        elif isinstance(node, ast.Attribute) and node.attr == "NUMBER":
+            names = [node.attr]
+        elif isinstance(node, ast.Attribute) and node.attr == "isfinite":
+            names = ["math.isfinite"] if getattr(node.value, "id", None) == "math" else []
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names]
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "channel.py"], ids=lambda p: p.name
+)
+def test_only_channel_judges_a_number(path):
+    # the number rule lives in channel: any other module tests a scalar input's
+    # range with channel.number_in or channel.within
+    assert number_rule_names(path) == []
 
 
 def test_runtime_imports_only_numpy():
